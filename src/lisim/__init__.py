@@ -23,8 +23,8 @@ from .equalizers import (ChainMessage, EqualizerKind, EqualizerSet,
                          rmf_filter, single_panel_filter)
 from .errors import (ConfigError, DegenerateChannelError, LisimError,
                      NumericalDomainError)
-from .numerics import (EigDecomp, SvdDecomp, hermitian_eig, inv_sqrt_hpd,
-                       logdet2_hpd, orthonormal_range, svd)
+from .numerics import (EigDecomp, SvdDecomp, hermitian_eig, logdet2_hpd,
+                       orthonormal_range, svd)
 
 __version__ = "0.1.0"
 
@@ -36,9 +36,9 @@ __all__ = [
     "PanelProfile", "Scenario", "ScenarioConfig", "SvdDecomp", "SweepAxis",
     "SweepRow", "SweepSpec", "TrafficReport", "UserSet", "apply_equalizers",
     "build_scenario", "chain_capacity_trace", "channel_capacity", "emit_csv",
-    "hermitian_eig", "iic_local_step", "inv_sqrt_hpd", "logdet2_hpd",
-    "los_gain", "orthonormal_range", "panel_channel", "realize_channel",
-    "rmf_filter", "run_centralized", "run_iic_chain", "run_rmf", "run_sweep",
-    "run_trial", "sample_users", "simulate_uplink", "single_panel_filter",
+    "hermitian_eig", "iic_local_step", "logdet2_hpd", "los_gain",
+    "orthonormal_range", "panel_channel", "realize_channel", "rmf_filter",
+    "run_centralized", "run_iic_chain", "run_rmf", "run_sweep", "run_trial",
+    "sample_users", "simulate_uplink", "single_panel_filter",
     "sum_rate_full", "sum_rate_panelized", "svd",
 ]

@@ -147,9 +147,11 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     report = _build_report(blocks, eq_set, rho, with_trace=True)
     p = len(blocks)
     hops = (p - 1) * passes
+    # every panel drives np backplane outputs; a rank-deficient panel's
+    # filter is narrower, and its unused outputs carry zeros
     traffic = TrafficReport(
         chain_complex_scalars=hops * k * k,
-        backplane_scalars_per_use=eq_set.n_total,
+        backplane_scalars_per_use=p * np_outputs,
         cpu_scalars_per_use=k,
         centralized_csi_scalars=0,
         chain_hermitian_scalars=hops * k * (k + 1) // 2,

@@ -46,17 +46,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigError if any field is out of range or inconsistent."""
         for name in ("lis_width_m", "lis_height_m", "room_width_m",
-                     "room_height_m", "room_depth_m", "panel_side_m"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+                     "room_height_m", "room_depth_m", "panel_side_m",
+                     "wavelength_m", "snr_rho", "min_user_depth_m"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.users_k < 1:
             raise ConfigError("users_k must be at least 1")
-        if self.wavelength_m <= 0.0:
-            raise ConfigError("wavelength_m must be positive")
-        if self.snr_rho <= 0.0:
-            raise ConfigError("snr_rho must be positive")
-        if self.min_user_depth_m <= 0.0:
-            raise ConfigError("min_user_depth_m must be positive")
         if self.min_user_depth_m >= self.room_depth_m:
             raise ConfigError("min_user_depth_m must be smaller than room_depth_m")
         if self.seed < 0:
@@ -234,7 +230,11 @@ def los_gain(user, antenna, wavelength_m: float):
         raise NumericalDomainError("user depth must be strictly positive")
     if wavelength_m <= 0.0:
         raise NumericalDomainError("wavelength must be positive")
-    d = np.sqrt(np.sum((user - antenna) ** 2, axis=-1))
+    # x, y, z summed in order, as a sum over the last axis would, but with
+    # no (..., 3) temporary: at M x K that temporary outgrows the cache
+    d = np.sqrt((user[..., 0] - antenna[..., 0]) ** 2
+                + (user[..., 1] - antenna[..., 1]) ** 2
+                + (user[..., 2] - antenna[..., 2]) ** 2)
     amplitude = np.sqrt(z) / (_TWO_SQRT_PI * d**1.5)
     return amplitude * np.exp(-2j * np.pi * d / wavelength_m)
 
@@ -244,14 +244,8 @@ def panel_channel(panel: Panel, users: UserSet, wavelength_m: float) -> np.ndarr
 
     Entry (m, k) is ``los_gain(user k, antenna m, wavelength)``.
     """
-    pos = users.positions
-    if np.any(pos[:, 2] <= 0.0):
-        raise NumericalDomainError("user depth must be strictly positive")
-    ants = panel.antenna_positions
-    diff = ants[:, None, :] - pos[None, :, :]
-    d = np.sqrt(np.sum(diff**2, axis=-1))
-    amplitude = np.sqrt(pos[:, 2])[None, :] / (_TWO_SQRT_PI * d**1.5)
-    return amplitude * np.exp(-2j * np.pi * d / wavelength_m)
+    return los_gain(users.positions[None, :, :],
+                    panel.antenna_positions[:, None, :], wavelength_m)
 
 
 def realize_channel(scenario: Scenario, users: UserSet,
@@ -261,12 +255,15 @@ def realize_channel(scenario: Scenario, users: UserSet,
     A single scale c = sqrt(M K) / ||H_raw||_F is applied to every block
     so the stacked Frobenius norm squared equals M * K exactly.
     """
-    raw = [panel_channel(p, users, wavelength_m) for p in scenario.panels]
+    antennas = np.concatenate([p.antenna_positions for p in scenario.panels])
+    stacked = los_gain(users.positions[None, :, :], antennas[:, None, :],
+                       wavelength_m)
+    raw = np.split(stacked, scenario.p_count)
+    # summed block by block: one sum over all M rows rounds differently
     power = sum(float(np.sum(np.abs(b) ** 2)) for b in raw)
     if power <= 0.0:
         raise DegenerateChannelError("raw channel is identically zero")
-    m_total = sum(b.shape[0] for b in raw)
-    scale = math.sqrt(m_total * users.users_k / power)
+    scale = math.sqrt(stacked.shape[0] * users.users_k / power)
     return ChannelRealization(blocks=tuple(scale * b for b in raw),
                               norm_scale=scale)
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical domain error,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import Algorithm, run_iic_chain, run_rmf
+from .chain import Algorithm, ChainResult, run_iic_chain, run_rmf
 from .channel import (ScenarioConfig, Scenario, build_scenario,
                       realize_channel, sample_users)
 from .errors import ConfigError, NumericalDomainError
@@ -65,7 +66,8 @@ class SweepSpec:
 
     ``values`` left as None selects the per-profile defaults: the
     ``DEFAULT_NP_VALUES`` grid on the per-panel axis, and the same grid
-    multiplied by the panel count on the total-outputs axis.
+    multiplied by the panel count on the total-outputs axis. Given values
+    must be distinct: each names one output row.
     """
 
     axis: SweepAxis = SweepAxis.NP_PER_PANEL
@@ -82,8 +84,8 @@ class SweepSpec:
             raise ConfigError("trials must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.rho <= 0.0:
-            raise ConfigError("rho must be positive")
+        if not math.isfinite(self.rho) or self.rho <= 0.0:
+            raise ConfigError("rho must be positive and finite")
         if self.passes < 1:
             raise ConfigError("passes must be at least 1")
         if not self.algorithms:
@@ -95,6 +97,8 @@ class SweepSpec:
                 raise ConfigError("values must not be empty")
             if any(int(v) != v or v < 1 for v in self.values):
                 raise ConfigError("values must be positive integers")
+            if len(set(self.values)) != len(self.values):
+                raise ConfigError("values must not repeat")
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,14 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial_index])
 
 
+def _run_algorithm(algorithm: Algorithm, blocks, rho: float,
+                   np_outputs: int, passes: int) -> ChainResult:
+    """Decentralized run of one algorithm; RMF makes a single pass."""
+    if algorithm is Algorithm.IIC:
+        return run_iic_chain(blocks, rho, np_outputs, passes)
+    return run_rmf(blocks, np_outputs, rho)
+
+
 def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
               np_outputs: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
@@ -134,11 +146,8 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
     rng = trial_rng(cfg.seed, trial_index)
     users = sample_users(scenario, cfg, rng)
     chan = realize_channel(scenario, users, cfg.wavelength_m)
-    algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.IIC:
-        result = run_iic_chain(chan.blocks, cfg.snr_rho, np_outputs, passes)
-    else:
-        result = run_rmf(chan.blocks, np_outputs, cfg.snr_rho)
+    result = _run_algorithm(Algorithm(algorithm), chan.blocks, cfg.snr_rho,
+                            np_outputs, passes)
     return result.report, result.traffic
 
 
@@ -183,6 +192,10 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     are reproducible byte for byte. Rows are ordered by profile, then
     algorithm, then axis value.
 
+    ``cfg`` supplies the geometry and radio parameters; its ``seed`` and
+    ``snr_rho`` are replaced by ``spec.seed`` and ``spec.rho``, and its
+    ``panel_side_m`` by each profile's.
+
     Returns a list of SweepRow.
     """
     spec.validate()
@@ -205,11 +218,8 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
             for algo in spec.algorithms:
                 for pair in pairs:
                     np_outputs, _ = pair
-                    if algo is Algorithm.IIC:
-                        result = run_iic_chain(chan.blocks, spec.rho,
-                                               np_outputs, spec.passes)
-                    else:
-                        result = run_rmf(chan.blocks, np_outputs, spec.rho)
+                    result = _run_algorithm(algo, chan.blocks, spec.rho,
+                                            np_outputs, spec.passes)
                     cell = cells[(algo, pair)]
                     cell["rates"].append(result.report.sum_rate_bits)
                     cell["caps"].append(result.report.channel_capacity_bits)
@@ -288,6 +298,13 @@ def _coerce_int(value, key: str) -> int:
     return int(value)
 
 
+def _coerce_float(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key} must be a number") from exc
+
+
 def scenario_config_from_mapping(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from the scenario keys of a config mapping."""
     kwargs = {}
@@ -298,10 +315,7 @@ def scenario_config_from_mapping(data: dict) -> ScenarioConfig:
         if f.name in ("users_k", "seed"):
             kwargs[f.name] = _coerce_int(value, f.name)
         else:
-            try:
-                kwargs[f.name] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {f.name} must be a number") from exc
+            kwargs[f.name] = _coerce_float(value, f.name)
     cfg = ScenarioConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -353,10 +367,7 @@ def sweep_spec_from_mapping(data: dict) -> SweepSpec:
         if key in data:
             kwargs[key] = _coerce_int(data[key], key)
     if "rho" in data:
-        try:
-            kwargs["rho"] = float(data["rho"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("config key rho must be a number") from exc
+        kwargs["rho"] = _coerce_float(data["rho"], "rho")
     spec = SweepSpec(**kwargs)
     spec.validate()
     return spec
@@ -398,36 +409,46 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--seed", type=int, help="base seed")
     trial.add_argument("--rho", type=float, help="linear SNR")
     trial.add_argument("--trial-index", type=int, default=0)
-    trial.add_argument("--passes", type=int, default=1)
+    trial.add_argument("--passes", type=int, help="chain passes (iic)")
     trial.set_defaults(func=_cmd_trial)
     return parser
 
 
-def _load_optional_config(path) -> dict:
-    return load_config_file(path) if path else {}
+def resolve_config(path, flags: dict):
+    """Defaults < config file < flags, resolved once for every subcommand.
+
+    ``flags`` maps config keys to command-line values, None where a flag
+    was left out. The SNR is one knob that a config file may name ``rho``
+    or ``snr_rho``; giving both with different values is an error, and
+    ``--rho`` overrides either. The resolved value becomes both
+    ``SweepSpec.rho`` and ``ScenarioConfig.snr_rho``.
+
+    Returns the validated (ScenarioConfig, SweepSpec) pair.
+    """
+    data = load_config_file(path) if path else {}
+    rhos = {_coerce_float(data[k], k) for k in ("rho", "snr_rho") if k in data}
+    if len(rhos) > 1:
+        raise ConfigError("config keys rho and snr_rho disagree")
+    if flags.get("rho") is not None:
+        rhos = {flags["rho"]}
+    data.update((k, v) for k, v in flags.items() if v is not None)
+    if rhos:
+        data["rho"] = data["snr_rho"] = rhos.pop()
+    return scenario_config_from_mapping(data), sweep_spec_from_mapping(data)
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_optional_config(args.config)
-    cfg = scenario_config_from_mapping(data)
-    if args.axis is not None:
-        data["axis"] = args.axis
-    if args.algos is not None:
-        data["algorithms"] = args.algos
-    if args.profiles is not None:
-        data["panel_profiles"] = args.profiles
+    values = None
     if args.values is not None:
         try:
-            data["values"] = [int(v) for v in args.values.split(",") if v.strip()]
+            values = [int(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError("--values must be a comma list of integers") from exc
-    for key in ("trials", "seed", "rho", "passes"):
-        value = getattr(args, key)
-        if value is not None:
-            data[key] = value
-    if "rho" not in data and "snr_rho" in data:
-        data["rho"] = data["snr_rho"]
-    spec = sweep_spec_from_mapping(data)
+    cfg, spec = resolve_config(args.config, {
+        "axis": args.axis, "algorithms": args.algos,
+        "panel_profiles": args.profiles, "values": values,
+        "trials": args.trials, "seed": args.seed, "rho": args.rho,
+        "passes": args.passes})
     rows = run_sweep(spec, cfg)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -435,37 +456,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trial(args) -> int:
-    data = _load_optional_config(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.rho is not None:
-        data["snr_rho"] = args.rho
-        data.pop("rho", None)
-    if "rho" in data and "snr_rho" not in data:
-        data["snr_rho"] = data.pop("rho")
-
-    if args.profile is not None:
-        profile = PanelProfile(args.profile)
-    elif data.get("panel_profiles"):
-        profile = _parse_list(data["panel_profiles"], PanelProfile,
-                              "panel profile")[0]
-    else:
-        profile = PanelProfile.SMALL
-    data.pop("panel_profiles", None)
-    data["panel_side_m"] = profile.panel_side_m
-    scenario_data = {k: v for k, v in data.items() if k in _SCENARIO_KEYS}
-    cfg = scenario_config_from_mapping(scenario_data)
-
+    cfg, spec = resolve_config(args.config, {
+        "seed": args.seed, "rho": args.rho, "passes": args.passes})
+    profile = (PanelProfile(args.profile) if args.profile is not None
+               else spec.panel_profiles[0])
+    cfg = replace(cfg, panel_side_m=profile.panel_side_m)
     scenario = build_scenario(cfg, profile.antennas_per_panel)
     if args.np_outputs < 1 or args.np_outputs > scenario.antennas_per_panel:
         raise ConfigError(
             f"--np must be between 1 and {scenario.antennas_per_panel} "
             f"for the {profile.value} profile")
-    if args.passes < 1:
-        raise ConfigError("--passes must be at least 1")
     algorithm = Algorithm(args.algo)
+    passes = spec.passes if algorithm is Algorithm.IIC else 1
     report, traffic = run_trial(scenario, cfg, algorithm, args.np_outputs,
-                                args.trial_index, args.passes)
+                                args.trial_index, passes)
     items = [
         ("profile", profile.value),
         ("algorithm", algorithm.value),
@@ -474,7 +478,7 @@ def _cmd_trial(args) -> int:
         ("rho", _fmt(cfg.snr_rho)),
         ("seed", cfg.seed),
         ("trial_index", args.trial_index),
-        ("passes", args.passes),
+        ("passes", passes),
         ("sum_rate_bits", _fmt(report.sum_rate_bits)),
         ("channel_capacity_bits", _fmt(report.channel_capacity_bits)),
         ("chain_complex_scalars", traffic.chain_complex_scalars),

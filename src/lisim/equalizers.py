@@ -20,13 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import numerics
 from .errors import NumericalDomainError
-
-#: Residual-norm threshold for accepting a canonical completion column.
-_COMPLETION_TOL = 1e-8
 
 
 class EqualizerKind(Enum):
@@ -42,6 +38,10 @@ class PanelEqualizer:
     ``semi_unitary`` is True when ``w.conj().T @ w`` is the identity by
     construction (subspace filters); the reduced matched filter keeps raw
     channel columns and is generally not semi-unitary.
+
+    ``n_cols`` is the width actually built, which can be below the
+    requested output count: subspace filters stop at the rank of the
+    block they see, because further outputs would carry no signal.
     """
 
     w: np.ndarray
@@ -87,10 +87,6 @@ class EqualizerSet:
     def n_total(self) -> int:
         """Total number of filter outputs across panels."""
         return sum(pe.n_cols for pe in self.per_panel)
-
-    def block_diagonal(self) -> np.ndarray:
-        """Dense M x N block-diagonal matrix with one block per panel."""
-        return block_diag(*[pe.w for pe in self.per_panel])
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,11 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     rho : float
         Linear SNR.
     np_outputs : int
-        Requested filter width; clamped to Mp. If the whitened block has
-        lower rank, the filter is completed to full width with canonical
-        unit vectors orthogonalized against the chosen columns. The extra
-        columns carry no signal and add no capacity.
+        Requested filter width. The filter keeps ``min(np_outputs, rank)``
+        columns, with ``rank`` the numerical rank of the whitened block
+        (at most ``min(Mp, K)``): further columns would carry no signal
+        and add no capacity. A zero block yields an Mp x 0 filter, a zero
+        increment and an unchanged accumulator.
 
     Returns
     -------
@@ -195,9 +192,7 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     whiten = dec.basis * dec.values**-0.5
     h_hat = np.sqrt(rho) * (h @ whiten)
     h_dec = numerics.svd(h_hat)
-    width = min(np_outputs, h.shape[0])
-    chosen = h_dec.left[:, : min(width, h_dec.rank())]
-    w = _complete_with_canonical(chosen, width)
+    w = h_dec.left[:, : min(np_outputs, h_dec.rank())]
     eq = PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
 
     g = w.conj().T @ h_hat
@@ -232,43 +227,3 @@ def apply_equalizers(eq: EqualizerSet, y) -> np.ndarray:
         out.append(pe.w.conj().T @ y[start:stop])
         start = stop
     return np.concatenate(out) if out else np.zeros(0, dtype=complex)
-
-
-def _complete_with_canonical(w: np.ndarray, target_cols: int) -> np.ndarray:
-    """Grow ``w`` to ``target_cols`` orthonormal columns.
-
-    Appends canonical unit vectors, taken in ascending index order and
-    orthogonalized against everything already accepted. Candidates whose
-    residual is below ``_COMPLETION_TOL`` already lie in the span and are
-    skipped. Processing happens in chunks through a QR factorization,
-    which matches a classical Gram-Schmidt sweep up to per-column phases.
-    """
-    m, have = w.shape
-    need = target_cols - have
-    if need <= 0:
-        return w
-    if target_cols > m:
-        raise ValueError("cannot build more orthonormal columns than rows")
-    pads = []
-    accepted = 0
-    j = 0
-    while accepted < need and j < m:
-        chunk = min(m - j, need - accepted + 8)
-        cand = np.zeros((m, chunk), dtype=complex)
-        cand[j:j + chunk] = np.eye(chunk)
-        # project out the current span twice to keep orthogonality tight
-        for _ in range(2):
-            if have:
-                cand -= w @ (w.conj().T @ cand)
-            for p in pads:
-                cand -= p @ (p.conj().T @ cand)
-        q, r = np.linalg.qr(cand)
-        keep = np.flatnonzero(np.abs(np.diag(r)) > _COMPLETION_TOL)
-        keep = keep[: need - accepted]
-        if keep.size:
-            pads.append(q[:, keep])
-            accepted += int(keep.size)
-        j += chunk
-    if accepted < need:
-        raise NumericalDomainError("failed to complete an orthonormal basis")
-    return np.hstack([w] + pads) if have else np.hstack(pads)

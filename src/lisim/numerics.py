@@ -2,9 +2,8 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy) used by every
 other module: Hermitian eigendecomposition, SVD, base-2 log-determinants
-of Hermitian positive-definite matrices, orthonormal range bases, and
-inverse matrix square roots. All functions are pure and safe to call
-from concurrent workers.
+of Hermitian positive-definite matrices, and orthonormal range bases.
+All functions are pure and safe to call from concurrent workers.
 """
 
 from dataclasses import dataclass
@@ -142,21 +141,3 @@ def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise ValueError("rank_tol must be positive")
     dec = svd(a)
     return dec.left[:, : dec.rank(rank_tol)]
-
-
-def inv_sqrt_hpd(a) -> np.ndarray:
-    """Inverse matrix square root ``B`` of an HPD matrix, ``B A B = I``.
-
-    Raises
-    ------
-    NumericalDomainError
-        If the input is not Hermitian or has a non-positive eigenvalue.
-    """
-    dec = hermitian_eig(a)
-    if dec.values.size and dec.values[-1] <= 0.0:
-        raise NumericalDomainError(
-            f"matrix is not positive definite (min eigenvalue {dec.values[-1]:.3e})"
-        )
-    b = (dec.basis * dec.values**-0.5) @ dec.basis.conj().T
-    # kill round-off asymmetry so the result is Hermitian by construction
-    return 0.5 * (b + b.conj().T)

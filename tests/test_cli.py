@@ -204,6 +204,60 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError):
             cli.sweep_spec_from_mapping({"values": [1.5]})
 
+    def test_repeated_values_rejected(self):
+        # a repeated value would feed one cell twice and double its samples
+        with pytest.raises(ConfigError):
+            cli.sweep_spec_from_mapping({"values": [4, 4]})
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ConfigError):
+            SweepSpec(rho=rho).validate()
+        with pytest.raises(ConfigError):
+            ScenarioConfig(snr_rho=rho).validate()
+
+    @pytest.mark.parametrize("name", ["wavelength_m", "lis_width_m",
+                                      "room_depth_m", "min_user_depth_m"])
+    def test_non_finite_geometry_rejected(self, name):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**{name: value}).validate()
+
+
+class TestResolveConfig:
+    def _write(self, tmp_path, **payload):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("key", ["rho", "snr_rho"])
+    def test_either_key_sets_both(self, tmp_path, key):
+        cfg, spec = cli.resolve_config(self._write(tmp_path, **{key: 4.0}),
+                                       {})
+        assert cfg.snr_rho == spec.rho == 4.0
+
+    def test_agreeing_keys_accepted(self, tmp_path):
+        path = self._write(tmp_path, rho=0.5, snr_rho=0.5)
+        cfg, spec = cli.resolve_config(path, {})
+        assert cfg.snr_rho == spec.rho == 0.5
+
+    def test_disagreeing_keys_rejected(self, tmp_path):
+        path = self._write(tmp_path, rho=0.25, snr_rho=4.0)
+        with pytest.raises(ConfigError):
+            cli.resolve_config(path, {"rho": 2.0})
+
+    def test_flag_overrides_both_keys(self, tmp_path):
+        path = self._write(tmp_path, snr_rho=4.0, seed=3, passes=2)
+        cfg, spec = cli.resolve_config(path, {"rho": 2.0, "seed": None,
+                                              "passes": 3})
+        assert cfg.snr_rho == spec.rho == 2.0
+        assert cfg.seed == spec.seed == 3  # flag left out: config wins
+        assert spec.passes == 3
+
+    def test_defaults_without_file(self):
+        cfg, spec = cli.resolve_config(None, {})
+        assert cfg == ScenarioConfig() and spec == SweepSpec()
+
 
 class TestMain:
     def _write_config(self, tmp_path, **extra):
@@ -271,6 +325,81 @@ class TestMain:
         code = cli.main(["trial", "--config", str(cfg), "--algo", "iic",
                          "--np", "17"])
         assert code == 2
+
+    def _trial_report(self, capsys, argv):
+        code = cli.main(["trial", *argv])
+        assert code == 0
+        return dict(line.split("=", 1)
+                    for line in capsys.readouterr().out.splitlines())
+
+    def test_trial_reports_passes_executed(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        report = self._trial_report(capsys, ["--config", str(cfg), "--algo",
+                                             "rmf", "--np", "2",
+                                             "--passes", "3"])
+        assert report["passes"] == "1"  # RMF makes one pass
+        assert report["chain_complex_scalars"] == "0"
+
+    def test_trial_honours_config_passes_and_profile(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, passes=2, panel_profiles=["small"])
+        report = self._trial_report(capsys, ["--config", str(cfg), "--algo",
+                                             "iic", "--np", "2"])
+        assert report["profile"] == "small"
+        assert report["passes"] == "2"
+        assert report["chain_complex_scalars"] == str(2 * 4 * 16)
+        flagged = self._trial_report(capsys, ["--config", str(cfg), "--algo",
+                                              "iic", "--np", "2",
+                                              "--passes", "1"])
+        assert flagged["passes"] == "1"
+
+    @pytest.mark.parametrize("key", ["rho", "snr_rho"])
+    def test_trial_and_sweep_share_rho(self, tmp_path, capsys, key):
+        cfg = self._write_config(tmp_path, **{key: 0.25})
+        report = self._trial_report(capsys, ["--config", str(cfg), "--algo",
+                                             "rmf", "--np", "1"])
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--trials", "1",
+                         "--values", "1", "--profiles", "small",
+                         "--algos", "rmf", "--out", str(out)]) == 0
+        header, row = out.read_text(encoding="utf-8").splitlines()
+        csv_rho = dict(zip(header.split(","), row.split(",")))["rho"]
+        assert report["rho"] == csv_rho == "0.25"
+
+    def test_disagreeing_rho_keys_exit_2(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, rho=0.25, snr_rho=4.0)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out",
+                         str(out)]) == 2
+        assert cli.main(["trial", "--config", str(cfg), "--algo", "iic",
+                         "--np", "1"]) == 2
+        assert not out.exists()
+        assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_flag_exits_2(self, tmp_path, capsys, rho):
+        cfg = self._write_config(tmp_path)
+        assert cli.main(["trial", "--config", str(cfg), "--algo", "iic",
+                         "--np", "1", "--rho", rho]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"wavelength_m": NaN}', encoding="utf-8")
+        assert cli.main(["trial", "--config", str(path), "--algo", "iic",
+                         "--np", "1"]) == 2
+        assert cli.main(["sweep", "--config", str(path), "--out",
+                         str(tmp_path / "rows.csv")]) == 2
+        assert "wavelength_m" in capsys.readouterr().err
+
+    def test_repeated_sweep_values_exit_2(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "rows.csv"
+        code = cli.main(["sweep", "--config", str(cfg), "--algos", "rmf",
+                         "--profiles", "small", "--values", "1,1",
+                         "--trials", "2", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

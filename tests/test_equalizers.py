@@ -92,9 +92,9 @@ class TestIicLocalStep:
         z0 = np.array([[1.4 + 0.0j, 0.2], [0.2, 2.0]])
         eq, delta, msg = equalizers.iic_local_step(
             np.zeros((3, 2)), ChainMessage(z0, 0), 1.0, 2)
-        assert delta == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(msg.z, z0, atol=1e-12)
-        assert semi_unitary_error(eq.w) <= 1e-9  # canonical completion
+        assert eq.w.shape == (3, 0)  # nothing to capture, nothing built
+        assert delta == 0.0
+        np.testing.assert_array_equal(msg.z, z0)
 
     def test_rejects_indefinite_accumulator(self):
         with pytest.raises(NumericalDomainError):
@@ -118,18 +118,18 @@ class TestIicLocalStep:
             assert np.trace(s).real == pytest.approx(eq.n_cols, abs=1e-9)
 
     def test_padding_adds_no_capacity(self, crandn):
-        # rank-2 block asked for 4 outputs: the two extra columns must be
-        # capacity-neutral
+        # rank-2 block asked for 4 outputs: the filter stops at the rank,
+        # so the step is the one asked for exactly 2
         h = crandn(5, 2)
         msg0 = ChainMessage.initial(2)
         eq_wide, delta_wide, msg_wide = equalizers.iic_local_step(h, msg0,
                                                                   1.0, 4)
         eq_slim, delta_slim, msg_slim = equalizers.iic_local_step(h, msg0,
                                                                   1.0, 2)
-        assert eq_wide.n_cols == 4
-        assert semi_unitary_error(eq_wide.w) <= 1e-9
-        assert delta_wide == pytest.approx(delta_slim, abs=1e-9)
-        np.testing.assert_allclose(msg_wide.z, msg_slim.z, atol=1e-9)
+        assert eq_wide.n_cols == 2
+        np.testing.assert_array_equal(eq_wide.w, eq_slim.w)
+        assert delta_wide == delta_slim
+        np.testing.assert_array_equal(msg_wide.z, msg_slim.z)
 
     def test_local_optimality_against_sampling(self, rng, crandn):
         # width-1 step against 2000 random unit-vector candidates
@@ -181,13 +181,3 @@ class TestApplyEqualizers:
         eq = self._set_of(np.eye(2))
         with pytest.raises(ValueError):
             equalizers.apply_equalizers(eq, np.zeros(3))
-
-    def test_block_diagonal_structure(self, crandn):
-        blocks = [crandn(3, 2), crandn(3, 2)]
-        eq = self._set_of(*blocks)
-        dense = eq.block_diagonal()
-        assert dense.shape == (6, 4)
-        assert np.all(dense[:3, 2:] == 0)
-        assert np.all(dense[3:, :2] == 0)
-        np.testing.assert_array_equal(dense[:3, :2], blocks[0])
-        np.testing.assert_array_equal(dense[3:, 2:], blocks[1])

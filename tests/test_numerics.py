@@ -152,32 +152,3 @@ class TestOrthonormalRange:
             q = numerics.orthonormal_range(a)
             p = q @ q.conj().T
             assert np.max(np.abs(p @ p - p)) <= 1e-9
-
-
-class TestInvSqrtHpd:
-    def test_identity(self):
-        np.testing.assert_allclose(numerics.inv_sqrt_hpd(np.eye(3)),
-                                   np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        b = numerics.inv_sqrt_hpd(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(b, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
-
-    def test_symmetric_2x2_defining_identity(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        b = numerics.inv_sqrt_hpd(a)
-        np.testing.assert_allclose(b @ a @ b, np.eye(2), atol=1e-9)
-
-    def test_random_defining_identity(self, crandn):
-        for _ in range(100):
-            g = crandn(5, 5)
-            a = g.conj().T @ g + np.eye(5)
-            a = 0.5 * (a + a.conj().T)
-            b = numerics.inv_sqrt_hpd(a)
-            assert np.max(np.abs(b - b.conj().T)) <= 1e-12
-            err = np.linalg.norm(b @ a @ b - np.eye(5)) / math.sqrt(5.0)
-            assert err <= 1e-9
-
-    def test_rejects_singular(self):
-        with pytest.raises(NumericalDomainError):
-            numerics.inv_sqrt_hpd(np.diag([1.0, 0.0]))

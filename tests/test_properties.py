@@ -1,0 +1,157 @@
+"""Property tests of the chain invariants over the whole parameter space.
+
+Channels are small Gaussian blocks with per-user gains spread over three
+decades. Co-located users share one channel column, so a block's rank can
+fall below both its antenna count and the user count; every draw has more
+users than antennas per panel. The SNR spans rho in [1e-8, 1e9] and IIC
+runs one to three passes.
+
+The draws are derandomized so the suite is reproducible. A randomized
+search over the same space finds the two rounding defects pinned by the
+``xfail`` tests at the end.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lisim import chain
+from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
+from lisim.chain import Algorithm
+from lisim.errors import NumericalDomainError
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
+                             derandomize=True, database=None)
+
+
+@st.composite
+def chain_inputs(draw):
+    """(blocks, rho, passes, distinct users) with K > Mp."""
+    p = draw(st.integers(1, 4))
+    mp = draw(st.integers(1, 4))
+    k = draw(st.integers(mp + 1, mp + 3))
+    distinct = draw(st.integers(1, k))
+    rho = 10.0 ** draw(st.floats(-8.0, 9.0))
+    passes = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (p * mp, distinct)
+    base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    base *= 10.0 ** rng.uniform(-2.0, 1.0, distinct)
+    # every distinct position hosts at least one user
+    site = np.concatenate([np.arange(distinct),
+                           rng.integers(0, distinct, k - distinct)])
+    h = base[:, rng.permutation(site)]
+    blocks = [h[i * mp:(i + 1) * mp] for i in range(p)]
+    return blocks, rho, passes, distinct
+
+
+def _bits_tol(rate: float) -> float:
+    return MONOTONE_SLACK_BITS * max(1.0, abs(rate))
+
+
+@PROPERTY_SETTINGS
+@given(chain_inputs(), st.data())
+def test_rate_below_ceiling_and_trace_nondecreasing(inputs, data):
+    blocks, rho, passes, _ = inputs
+    mp = blocks[0].shape[0]
+    np_outputs = data.draw(st.integers(1, mp))
+    iic = chain.run_iic_chain(blocks, rho, np_outputs, passes)
+    rmf = chain.run_rmf(blocks, np_outputs, rho)
+    for res in (iic, rmf):
+        report = res.report
+        assert (report.sum_rate_bits
+                <= report.channel_capacity_bits + CEILING_SLACK_BITS)
+    trace = iic.report.per_panel_cumulative
+    assert trace.shape == (len(blocks),)
+    assert np.all(np.diff(trace, prepend=0.0) >= -MONOTONE_SLACK_BITS)
+    assert trace[-1] == iic.report.sum_rate_bits
+
+
+@PROPERTY_SETTINGS
+@given(chain_inputs(), st.data())
+def test_extra_passes_never_lose_rate(inputs, data):
+    blocks, rho, _, _ = inputs
+    np_outputs = data.draw(st.integers(1, blocks[0].shape[0]))
+    rates = [chain.run_iic_chain(blocks, rho, np_outputs, passes)
+             .report.sum_rate_bits for passes in (1, 2, 3)]
+    for before, after in zip(rates, rates[1:]):
+        assert after >= before - _bits_tol(before)
+
+
+@PROPERTY_SETTINGS
+@given(chain_inputs(), st.sampled_from(list(Algorithm)))
+def test_centralized_equals_decentralized(inputs, algorithm):
+    blocks, rho, passes, _ = inputs
+    np_outputs = blocks[0].shape[0]
+    if algorithm is Algorithm.IIC:
+        dec = chain.run_iic_chain(blocks, rho, np_outputs, passes)
+    else:
+        dec = chain.run_rmf(blocks, np_outputs, rho)
+    cen = chain.run_centralized(blocks, rho, np_outputs, algorithm, passes)
+    for a, b in zip(dec.equalizers, cen.equalizers):
+        np.testing.assert_array_equal(a.w, b.w)
+    assert cen.report.sum_rate_bits == dec.report.sum_rate_bits
+    np.testing.assert_array_equal(cen.report.per_panel_cumulative,
+                                  dec.report.per_panel_cumulative)
+    assert cen.passes_executed == dec.passes_executed
+    assert cen.traffic.chain_complex_scalars == 0
+    assert cen.traffic.centralized_csi_scalars == sum(b.size for b in blocks)
+    assert (cen.traffic.backplane_scalars_per_use
+            == dec.traffic.backplane_scalars_per_use)
+
+
+@PROPERTY_SETTINGS
+@given(chain_inputs())
+def test_outputs_above_block_rank_change_nothing(inputs):
+    # co-located users cap every block's rank at the distinct count
+    blocks, rho, passes, distinct = inputs
+    mp = blocks[0].shape[0]
+    at_rank = chain.run_iic_chain(blocks, rho, min(distinct, mp), passes)
+    above = chain.run_iic_chain(blocks, rho, mp, passes)
+    rate = at_rank.report.sum_rate_bits
+    assert abs(above.report.sum_rate_bits - rate) <= _bits_tol(rate)
+    np.testing.assert_allclose(above.report.per_panel_cumulative,
+                               at_rank.report.per_panel_cumulative,
+                               rtol=MONOTONE_SLACK_BITS,
+                               atol=MONOTONE_SLACK_BITS)
+    for wide, slim in zip(above.equalizers, at_rank.equalizers):
+        assert wide.n_cols <= min(distinct, mp)
+        assert wide.n_cols == slim.n_cols
+    assert (above.traffic.chain_complex_scalars
+            == at_rank.traffic.chain_complex_scalars)
+    assert above.traffic.backplane_scalars_per_use == len(blocks) * mp
+
+
+def _one_site_blocks(p, mp, k, scale):
+    """Blocks of a channel whose K users all stand at one site (rank 1).
+
+    At this conditioning the rates round differently with the memory
+    layout of the blocks, so the layout of the search that found these
+    cases is kept: column indexing, then row slices.
+    """
+    rng = np.random.default_rng(0)
+    h = scale * (rng.standard_normal((p * mp, 1))
+                 + 1j * rng.standard_normal((p * mp, 1)))
+    h = h[:, np.zeros(k, dtype=int)]
+    return [h[i * mp:(i + 1) * mp] for i in range(p)]
+
+
+@pytest.mark.xfail(raises=NumericalDomainError, reason=(
+    "rank-1 channel at rho * ||H||^2 ~ 1e10: forming I + rho H^H H rounds "
+    "the unit eigenvalues by ~1e-6, so the rate overshoots the ceiling by "
+    "1.6e-6 bits, more than the absolute CEILING_SLACK_BITS, and the "
+    "runtime check rejects a valid run"))
+def test_rank_one_channel_at_high_snr_stays_below_ceiling():
+    chain.run_iic_chain(_one_site_blocks(2, 3, 4, 10.0), 1e7, 1)
+
+
+@pytest.mark.xfail(reason=(
+    "rank-1 channel at high SNR: the second pass loses 1.4e-7 bits of a "
+    "31-bit rate to rounding in the rate evaluation, more than the 1e-9 "
+    "relative slack"))
+def test_rank_one_channel_at_high_snr_keeps_rate_over_passes():
+    blocks = _one_site_blocks(3, 2, 4, 3.0)
+    one, two = (chain.run_iic_chain(blocks, 1e7, 1, passes=q)
+                .report.sum_rate_bits for q in (1, 2))
+    assert two >= one - _bits_tol(one)
