@@ -6,7 +6,8 @@ The package splits into six layers: complex-matrix kernels
 (:mod:`lisim.equalizers`), sum-rate evaluation (:mod:`lisim.capacity`),
 daisy-chain / centralized orchestration with traffic accounting
 (:mod:`lisim.chain`), and the Monte Carlo sweep driver plus CLI
-(:mod:`lisim.cli`).
+(:mod:`lisim.cli`, imported on its own so ``python -m lisim.cli`` runs it
+cleanly).
 """
 
 from .capacity import (CapacityReport, chain_capacity_trace, channel_capacity,
@@ -15,12 +16,10 @@ from .chain import (Algorithm, ChainResult, TrafficReport, run_centralized,
                     run_iic_chain, run_rmf)
 from .channel import (ChannelRealization, Panel, Scenario, ScenarioConfig,
                       UserSet, build_scenario, los_gain, panel_channel,
-                      realize_channel, sample_users, simulate_uplink)
-from .cli import (DEFAULT_NP_VALUES, PanelProfile, SweepAxis, SweepRow,
-                  SweepSpec, emit_csv, run_sweep, run_trial)
+                      realize_channel, sample_users)
 from .equalizers import (ChainMessage, EqualizerKind, EqualizerSet,
-                         PanelEqualizer, apply_equalizers, iic_local_step,
-                         rmf_filter, single_panel_filter)
+                         PanelEqualizer, iic_local_step, rmf_filter,
+                         single_panel_filter)
 from .errors import (ConfigError, DegenerateChannelError, LisimError,
                      NumericalDomainError)
 from .numerics import (EigDecomp, SvdDecomp, hermitian_eig, logdet2_hpd,
@@ -30,15 +29,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm", "CapacityReport", "ChainMessage", "ChainResult",
-    "ChannelRealization", "ConfigError", "DEFAULT_NP_VALUES",
-    "DegenerateChannelError", "EigDecomp", "EqualizerKind", "EqualizerSet",
-    "LisimError", "NumericalDomainError", "Panel", "PanelEqualizer",
-    "PanelProfile", "Scenario", "ScenarioConfig", "SvdDecomp", "SweepAxis",
-    "SweepRow", "SweepSpec", "TrafficReport", "UserSet", "apply_equalizers",
-    "build_scenario", "chain_capacity_trace", "channel_capacity", "emit_csv",
+    "ChannelRealization", "ConfigError", "DegenerateChannelError",
+    "EigDecomp", "EqualizerKind", "EqualizerSet", "LisimError",
+    "NumericalDomainError", "Panel", "PanelEqualizer", "Scenario",
+    "ScenarioConfig", "SvdDecomp", "TrafficReport", "UserSet",
+    "build_scenario", "chain_capacity_trace", "channel_capacity",
     "hermitian_eig", "iic_local_step", "logdet2_hpd", "los_gain",
     "orthonormal_range", "panel_channel", "realize_channel", "rmf_filter",
-    "run_centralized", "run_iic_chain", "run_rmf", "run_sweep", "run_trial",
-    "sample_users", "simulate_uplink", "single_panel_filter",
-    "sum_rate_full", "sum_rate_panelized", "svd",
+    "run_centralized", "run_iic_chain", "run_rmf", "sample_users",
+    "single_panel_filter", "sum_rate_full", "sum_rate_panelized", "svd",
 ]

@@ -47,13 +47,6 @@ class CapacityReport:
                     "per-panel cumulative rate is not nondecreasing")
 
 
-def _logdet_eye_plus(gram: np.ndarray) -> float:
-    k = gram.shape[0]
-    a = np.eye(k) + gram
-    a = 0.5 * (a + a.conj().T)
-    return numerics.logdet2_hpd(a)
-
-
 def sum_rate_full(h, w, rho: float) -> float:
     """Rate through a single dense filter, ``log2 det(I + rho H^H P H)``.
 
@@ -67,14 +60,13 @@ def sum_rate_full(h, w, rho: float) -> float:
     if w.shape[0] != h.shape[0]:
         raise ValueError("channel and filter must share the antenna dimension")
     q = numerics.orthonormal_range(w)
-    g = q.conj().T @ h
-    return _logdet_eye_plus(rho * (g.conj().T @ g))
+    return numerics.logdet2_eye_plus(numerics.projected_gram(q, h, rho))
 
 
 def channel_capacity(h, rho: float) -> float:
     """Capacity of the raw antenna interface, ``log2 det(I + rho H^H H)``."""
     h = numerics._as_matrix(h, "channel")
-    return _logdet_eye_plus(rho * (h.conj().T @ h))
+    return numerics.logdet2_eye_plus(rho * (h.conj().T @ h))
 
 
 def _panel_grams(blocks, eq: EqualizerSet, rho: float):
@@ -86,8 +78,7 @@ def _panel_grams(blocks, eq: EqualizerSet, rho: float):
         h = numerics._as_matrix(h, "channel block")
         if pe.m_rows != h.shape[0]:
             raise ValueError("equalizer and block disagree on antenna count")
-        g = pe.orthonormal_columns().conj().T @ h
-        grams.append(rho * (g.conj().T @ g))
+        grams.append(numerics.projected_gram(pe.orthonormal_columns(), h, rho))
     return grams
 
 
@@ -99,7 +90,7 @@ def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
     ``sum_rate_full`` on the assembled dense block-diagonal filter.
     """
     grams = _panel_grams(blocks, eq, rho)
-    return _logdet_eye_plus(sum(grams))
+    return numerics.logdet2_eye_plus(sum(grams))
 
 
 def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
@@ -116,5 +107,5 @@ def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
     out = np.empty(len(grams))
     for i, g in enumerate(grams):
         acc = acc + g
-        out[i] = _logdet_eye_plus(acc)
+        out[i] = numerics.logdet2_eye_plus(acc)
     return out

@@ -2,9 +2,11 @@
 
 A chain run folds the local interference-cancellation step over the
 panels in scenario order, threading the Hermitian K x K accumulator from
-panel to panel. Centralized execution reuses the exact same fold, so the
-resulting filters are bit-identical; only the interconnect accounting
-changes (full CSI upload instead of panel-to-panel messages).
+panel to panel. Further passes continue the same fold: each panel then
+steps against the accumulator less its own previous contribution.
+Centralized execution reuses the exact same fold, so the resulting
+filters are bit-identical; only the interconnect accounting changes
+(full CSI upload instead of panel-to-panel messages).
 
 Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
@@ -16,8 +18,8 @@ from enum import Enum
 import numpy as np
 
 from . import capacity, numerics
-from .equalizers import (ChainMessage, EqualizerSet, PanelEqualizer,
-                         iic_local_step, rmf_filter)
+from .equalizers import (ChainMessage, EqualizerSet, iic_local_step,
+                         rmf_filter)
 from .errors import ConfigError
 
 
@@ -92,12 +94,16 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
                   passes: int = 1) -> ChainResult:
     """Decentralized interference-cancellation run over a panel chain.
 
-    The first pass starts the accumulator at the identity and folds the
-    local step over the panels in list order. Additional passes revisit
-    each panel and re-optimize its filter against the leave-one-out
-    accumulator built from every other panel's current filter, which can
-    only increase the objective. The default single pass matches the
-    envisioned hardware pipeline.
+    One fold of the local step over ``passes`` sweeps of the panels in
+    list order. It carries the running accumulator ``z``, which starts at
+    the identity, and each panel's captured covariance ``C_i``, which
+    starts at zero. Panel i steps against ``z - C_i``, replaces ``C_i``
+    by its new contribution and forwards the step's message as ``z``. In
+    the first pass every ``C_i`` is still zero, so the fold is the plain
+    daisy chain of the envisioned hardware pipeline (the default single
+    pass). In later passes each panel re-optimizes its filter against
+    every other panel's current contribution, which can only increase
+    the objective.
 
     Parameters
     ----------
@@ -117,31 +123,15 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
         raise ConfigError("rho must be positive")
 
     msg = ChainMessage.initial(k)
-    filters: list[PanelEqualizer] = []
-    for h in blocks:
-        eq, _, msg = iic_local_step(h, msg, rho, np_outputs)
-        filters.append(eq)
-
-    # per-panel accumulator contributions, needed for leave-one-out passes
-    contribs: list[np.ndarray] = []
-    for h, eq in zip(blocks, filters):
-        t = eq.w.conj().T @ h
-        contribs.append(rho * (t.conj().T @ t))
-
-    hop = msg.hop_index
-    for _ in range(passes - 1):
-        total = sum(contribs)
+    filters = [None] * len(blocks)
+    contribs = [np.zeros((k, k), dtype=complex)] * len(blocks)
+    for _ in range(passes):
         for i, h in enumerate(blocks):
-            z_loo = np.eye(k) + (total - contribs[i])
+            z_loo = msg.z - contribs[i]
             z_loo = 0.5 * (z_loo + z_loo.conj().T)
-            eq, _, out = iic_local_step(h, ChainMessage(z_loo, hop), rho,
-                                        np_outputs)
-            hop = out.hop_index
-            filters[i] = eq
-            t = eq.w.conj().T @ h
-            fresh = rho * (t.conj().T @ t)
-            total = total - contribs[i] + fresh
-            contribs[i] = fresh
+            filters[i], _, msg = iic_local_step(
+                h, ChainMessage(z_loo, msg.hop_index), rho, np_outputs)
+            contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
 
     eq_set = EqualizerSet(per_panel=tuple(filters))
     report = _build_report(blocks, eq_set, rho, with_trace=True)
@@ -200,9 +190,6 @@ def run_centralized(blocks, rho: float, np_outputs: int,
         base = run_rmf(blocks, np_outputs, rho)
     m_total = sum(np.asarray(b).shape[0] for b in blocks)
     users_k = np.asarray(blocks[0]).shape[1]
-    traffic = replace(base.traffic,
-                      chain_complex_scalars=0,
-                      chain_hermitian_scalars=0,
-                      centralized_csi_scalars=m_total * users_k)
-    return ChainResult(equalizers=base.equalizers, report=base.report,
-                       traffic=traffic, passes_executed=base.passes_executed)
+    return replace(base, traffic=replace(
+        base.traffic, chain_complex_scalars=0, chain_hermitian_scalars=0,
+        centralized_csi_scalars=m_total * users_k))

@@ -1,4 +1,4 @@
-"""Scenario geometry, LOS channel synthesis, and uplink signal generation.
+"""Scenario geometry and LOS channel synthesis.
 
 Coordinate frame: the antenna surface occupies the z = 0 plane, centered
 horizontally (x in [-lis_width/2, +lis_width/2]) and centered vertically
@@ -266,24 +266,3 @@ def realize_channel(scenario: Scenario, users: UserSet,
     scale = math.sqrt(stacked.shape[0] * users.users_k / power)
     return ChannelRealization(blocks=tuple(scale * b for b in raw),
                               norm_scale=scale)
-
-
-def simulate_uplink(chan: ChannelRealization, x, rho: float,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Received M-vector ``y = sqrt(rho) H x + n``.
-
-    ``n`` is i.i.d. circularly-symmetric complex Gaussian with unit
-    variance per component, or zero when ``rng`` is None (noise-free).
-    """
-    if rho <= 0.0:
-        raise NumericalDomainError("rho must be positive")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (chan.users_k,):
-        raise ValueError(
-            f"expected a length-{chan.users_k} user vector, got shape {x.shape}")
-    y = math.sqrt(rho) * (chan.stacked() @ x)
-    if rng is not None:
-        m = y.shape[0]
-        noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        y = y + noise * math.sqrt(0.5)
-    return y

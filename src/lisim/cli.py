@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .chain import Algorithm, ChainResult, run_iic_chain, run_rmf
-from .channel import (ScenarioConfig, Scenario, build_scenario,
-                      realize_channel, sample_users)
+from .channel import (ChannelRealization, ScenarioConfig, Scenario,
+                      build_scenario, realize_channel, sample_users)
 from .errors import ConfigError, NumericalDomainError
 
 
@@ -121,9 +121,16 @@ class SweepRow:
 CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial."""
-    return np.random.default_rng([seed, trial_index])
+def trial_channel(scenario: Scenario, cfg: ScenarioConfig,
+                  trial_index: int) -> ChannelRealization:
+    """The channel realization of one trial.
+
+    User positions come from the independent, reproducible generator
+    stream (cfg.seed, trial_index).
+    """
+    rng = np.random.default_rng([cfg.seed, trial_index])
+    users = sample_users(scenario, cfg, rng)
+    return realize_channel(scenario, users, cfg.wavelength_m)
 
 
 def _run_algorithm(algorithm: Algorithm, blocks, rho: float,
@@ -138,14 +145,11 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
               np_outputs: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
 
-    Draws user positions from the stream (cfg.seed, trial_index),
-    realizes the channel, runs the decentralized algorithm, and returns
+    Runs the decentralized algorithm on ``trial_channel`` and returns
     the capacity and traffic reports. Fully deterministic given
     (config, seed, trial_index).
     """
-    rng = trial_rng(cfg.seed, trial_index)
-    users = sample_users(scenario, cfg, rng)
-    chan = realize_channel(scenario, users, cfg.wavelength_m)
+    chan = trial_channel(scenario, cfg, trial_index)
     result = _run_algorithm(Algorithm(algorithm), chan.blocks, cfg.snr_rho,
                             np_outputs, passes)
     return result.report, result.traffic
@@ -185,8 +189,8 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     """Monte Carlo sweep over profiles, algorithms, and axis values.
 
     Each trial reuses one channel realization for every algorithm and
-    axis value, exactly the realization ``run_trial`` would generate for
-    the same (seed, trial index). Trials use independent generator
+    axis value: the ``trial_channel`` that ``run_trial`` uses for the
+    same (seed, trial index). Trials use independent generator
     streams and could run in parallel; this driver keeps a fixed
     sequential order so the aggregates (and the CSV written from them)
     are reproducible byte for byte. Rows are ordered by profile, then
@@ -212,9 +216,7 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
         cells = {(algo, pair): {"rates": [], "caps": [], "chain": 0}
                  for algo in spec.algorithms for pair in pairs}
         for t in range(spec.trials):
-            rng = trial_rng(spec.seed, t)
-            users = sample_users(scenario, pcfg, rng)
-            chan = realize_channel(scenario, users, pcfg.wavelength_m)
+            chan = trial_channel(scenario, pcfg, t)
             for algo in spec.algorithms:
                 for pair in pairs:
                     np_outputs, _ = pair

@@ -132,8 +132,8 @@ def single_panel_filter(h, n_outputs: int) -> PanelEqualizer:
 
     Keeps the ``min(n_outputs, rank(h))`` dominant left singular vectors,
     which span everything that matters for the rate at the filter output.
-    A zero block has no preferred directions; the first ``n_outputs``
-    canonical unit vectors are returned so the output width stays usable.
+    A zero block has rank 0 and yields an Mp x 0 filter, as in
+    ``iic_local_step``: no output would carry signal.
     """
     h = numerics._as_matrix(h, "channel block")
     if n_outputs < 1:
@@ -141,12 +141,8 @@ def single_panel_filter(h, n_outputs: int) -> PanelEqualizer:
     if n_outputs > h.shape[0]:
         raise ValueError("n_outputs cannot exceed the number of antennas")
     dec = numerics.svd(h)
-    rank = dec.rank()
-    if rank == 0:
-        w = np.eye(h.shape[0], dtype=complex)[:, :n_outputs]
-    else:
-        w = dec.left[:, : min(n_outputs, rank)]
-    return PanelEqualizer(w=w, kind=EqualizerKind.SVD_OPT, semi_unitary=True)
+    return PanelEqualizer(w=dec.left[:, : min(n_outputs, dec.rank())],
+                          kind=EqualizerKind.SVD_OPT, semi_unitary=True)
 
 
 def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
@@ -195,35 +191,9 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     w = h_dec.left[:, : min(np_outputs, h_dec.rank())]
     eq = PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
 
-    g = w.conj().T @ h_hat
-    captured = g.conj().T @ g + np.eye(h.shape[1])
-    captured = 0.5 * (captured + captured.conj().T)
-    delta_c = numerics.logdet2_hpd(captured)
+    # the whitened block already carries sqrt(rho)
+    delta_c = numerics.logdet2_eye_plus(numerics.projected_gram(w, h_hat, 1.0))
 
-    t = w.conj().T @ h
-    z_next = z_prev.z + rho * (t.conj().T @ t)
+    z_next = z_prev.z + numerics.projected_gram(w, h, rho)
     z_next = 0.5 * (z_next + z_next.conj().T)
     return eq, delta_c, ChainMessage(z=z_next, hop_index=z_prev.hop_index + 1)
-
-
-def apply_equalizers(eq: EqualizerSet, y) -> np.ndarray:
-    """Filter a received M-vector panel by panel.
-
-    Equivalent to multiplying by the Hermitian transpose of the dense
-    block-diagonal filter matrix: segment i of ``y`` is reduced to
-    ``w_i^H y_i`` and the results are concatenated.
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 1:
-        raise ValueError(f"expected a 1-D received vector, got shape {y.shape}")
-    total = sum(pe.m_rows for pe in eq)
-    if y.shape[0] != total:
-        raise ValueError(
-            f"received vector has {y.shape[0]} entries, panels expect {total}")
-    out = []
-    start = 0
-    for pe in eq:
-        stop = start + pe.m_rows
-        out.append(pe.w.conj().T @ y[start:stop])
-        start = stop
-    return np.concatenate(out) if out else np.zeros(0, dtype=complex)

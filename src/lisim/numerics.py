@@ -2,8 +2,10 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy) used by every
 other module: Hermitian eigendecomposition, SVD, base-2 log-determinants
-of Hermitian positive-definite matrices, and orthonormal range bases.
-All functions are pure and safe to call from concurrent workers.
+of Hermitian positive-definite matrices (``log2 det(I + X)`` among them),
+orthonormal range bases, and the projected Gram ``rho (Q^H H)^H (Q^H H)``
+that every captured covariance is made of. All functions are pure and
+safe to call from concurrent workers.
 """
 
 from dataclasses import dataclass
@@ -118,6 +120,26 @@ def logdet2_hpd(a) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
     return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+
+
+def logdet2_eye_plus(x: np.ndarray) -> float:
+    """``log2 det(I + X)`` of a Hermitian positive-semidefinite K x K ``x``.
+
+    The sum is symmetrized before the factorization, so rounding in ``x``
+    never trips the Hermitian check of ``logdet2_hpd``.
+    """
+    a = np.eye(x.shape[0]) + x
+    return logdet2_hpd(0.5 * (a + a.conj().T))
+
+
+def projected_gram(q: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
+    """Captured covariance ``rho (Q^H H)^H (Q^H H)``, K x K.
+
+    With ``q`` semi-unitary this is ``rho H^H P H`` for the orthogonal
+    projector ``P`` onto the column space of ``q``.
+    """
+    t = q.conj().T @ h
+    return rho * (t.conj().T @ t)
 
 
 def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

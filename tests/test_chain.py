@@ -53,6 +53,26 @@ class TestRunIicChain:
             assert eigmin >= 1.0 - 1e-9
         assert msg.hop_index == 5
 
+    def test_single_pass_is_the_plain_fold(self, crandn):
+        blocks = random_blocks(crandn, 5, 4, 3)
+        res = chain.run_iic_chain(blocks, 2.0, 2)
+        msg = ChainMessage.initial(3)
+        for h, got in zip(blocks, res.equalizers):
+            eq, _, msg = equalizers.iic_local_step(h, msg, 2.0, 2)
+            np.testing.assert_array_equal(got.w, eq.w)
+
+    @pytest.mark.parametrize("passes", [2, 3])
+    def test_later_passes_leave_one_out(self, crandn, passes):
+        # the last panel's final step saw every other panel's final filter
+        blocks = random_blocks(crandn, 5, 4, 3)
+        res = chain.run_iic_chain(blocks, 2.0, 2, passes=passes)
+        others = sum(numerics.projected_gram(eq.w, h, 2.0)
+                     for h, eq in zip(blocks[:-1], res.equalizers))
+        eq, _, _ = equalizers.iic_local_step(
+            blocks[-1], ChainMessage(np.eye(3) + others), 2.0, 2)
+        np.testing.assert_allclose(res.equalizers[-1].projector(),
+                                   eq.projector(), atol=1e-8)
+
     def test_extra_passes_never_lose_rate(self, crandn):
         blocks = random_blocks(crandn, 4, 3, 3)
         rates = [chain.run_iic_chain(blocks, 1.0, 1, passes=p)

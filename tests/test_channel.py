@@ -221,38 +221,3 @@ class TestRealizeChannel:
             users = channel.sample_users(sc, cfg, np.random.default_rng(cfg.seed))
             chans.append(channel.realize_channel(sc, users, cfg.wavelength_m))
         np.testing.assert_array_equal(chans[0].stacked(), chans[1].stacked())
-
-
-class TestSimulateUplink:
-    def _identity_chan(self, m=2):
-        return channel.ChannelRealization(
-            blocks=(np.eye(m, dtype=complex),), norm_scale=1.0)
-
-    def test_zero_input_noise_free(self):
-        chan = self._identity_chan()
-        y = channel.simulate_uplink(chan, np.zeros(2), rho=1.0)
-        np.testing.assert_array_equal(y, np.zeros(2, dtype=complex))
-
-    def test_linearity(self):
-        chan = self._identity_chan()
-        x = np.array([1.0, 0.0], dtype=complex)
-        y = channel.simulate_uplink(chan, x, rho=4.0)
-        np.testing.assert_allclose(y, 2.0 * chan.stacked()[:, 0], rtol=1e-12)
-
-    def test_noise_unit_variance(self):
-        chan = self._identity_chan(8)
-        rng = np.random.default_rng(13)
-        draws = np.stack([
-            channel.simulate_uplink(chan, np.zeros(8), 1.0, rng)
-            for _ in range(10_000)
-        ])
-        variance = np.mean(np.abs(draws) ** 2, axis=0)
-        assert np.all(np.abs(variance - 1.0) <= 0.05)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            channel.simulate_uplink(self._identity_chan(), np.zeros(3), 1.0)
-
-    def test_rejects_nonpositive_rho(self):
-        with pytest.raises(NumericalDomainError):
-            channel.simulate_uplink(self._identity_chan(), np.zeros(2), 0.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +404,18 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # runpy warns when importing the package has already imported cli
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lisim.cli",
+             "trial", "--algo", "rmf", "--np", "1", "--profile", "large"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
