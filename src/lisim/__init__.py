@@ -15,8 +15,8 @@ from .capacity import (CapacityReport, chain_capacity_trace, channel_capacity,
 from .chain import (Algorithm, ChainResult, TrafficReport, run_centralized,
                     run_iic_chain, run_rmf)
 from .channel import (ChannelRealization, Panel, Scenario, ScenarioConfig,
-                      UserSet, build_scenario, los_gain, panel_channel,
-                      realize_channel, sample_users)
+                      UserSet, build_scenario, los_gain, realize_channel,
+                      sample_users)
 from .equalizers import (ChainMessage, EqualizerKind, EqualizerSet,
                          PanelEqualizer, iic_local_step, rmf_filter,
                          single_panel_filter)
@@ -35,7 +35,7 @@ __all__ = [
     "ScenarioConfig", "SvdDecomp", "TrafficReport", "UserSet",
     "build_scenario", "chain_capacity_trace", "channel_capacity",
     "hermitian_eig", "iic_local_step", "logdet2_hpd", "los_gain",
-    "orthonormal_range", "panel_channel", "realize_channel", "rmf_filter",
+    "orthonormal_range", "realize_channel", "rmf_filter",
     "run_centralized", "run_iic_chain", "run_rmf", "sample_users",
     "single_panel_filter", "sum_rate_full", "sum_rate_panelized", "svd",
 ]

@@ -125,13 +125,16 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     msg = ChainMessage.initial(k)
     filters = [None] * len(blocks)
     contribs = [np.zeros((k, k), dtype=complex)] * len(blocks)
-    for _ in range(passes):
+    for pass_index in range(passes):
+        # only a later pass reads the contributions
+        keep_contribs = pass_index + 1 < passes
         for i, h in enumerate(blocks):
             z_loo = msg.z - contribs[i]
             z_loo = 0.5 * (z_loo + z_loo.conj().T)
             filters[i], _, msg = iic_local_step(
                 h, ChainMessage(z_loo, msg.hop_index), rho, np_outputs)
-            contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
+            if keep_contribs:
+                contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
 
     eq_set = EqualizerSet(per_panel=tuple(filters))
     report = _build_report(blocks, eq_set, rho, with_trace=True)

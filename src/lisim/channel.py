@@ -140,10 +140,6 @@ class ChannelRealization:
     def m_total(self) -> int:
         return sum(b.shape[0] for b in self.blocks)
 
-    def stacked(self) -> np.ndarray:
-        """Full M x K channel matrix with blocks stacked in chain order."""
-        return np.vstack(self.blocks)
-
 
 def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
     """Tile the surface rectangle with square panels of ``mp`` antennas.
@@ -237,15 +233,6 @@ def los_gain(user, antenna, wavelength_m: float):
                 + (user[..., 2] - antenna[..., 2]) ** 2)
     amplitude = np.sqrt(z) / (_TWO_SQRT_PI * d**1.5)
     return amplitude * np.exp(-2j * np.pi * d / wavelength_m)
-
-
-def panel_channel(panel: Panel, users: UserSet, wavelength_m: float) -> np.ndarray:
-    """Unnormalized Mp x K channel block of one panel.
-
-    Entry (m, k) is ``los_gain(user k, antenna m, wavelength)``.
-    """
-    return los_gain(users.positions[None, :, :],
-                    panel.antenna_positions[:, None, :], wavelength_m)
 
 
 def realize_channel(scenario: Scenario, users: UserSet,

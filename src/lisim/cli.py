@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics
 from .chain import Algorithm, ChainResult, run_iic_chain, run_rmf
 from .channel import (ChannelRealization, ScenarioConfig, Scenario,
                       build_scenario, realize_channel, sample_users)
@@ -196,6 +197,17 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     are reproducible byte for byte. Rows are ordered by profile, then
     algorithm, then axis value.
 
+    Each trial's blocks are factored once, by
+    ``numerics.user_side_factor``, and the factors are shared by every
+    cell: a tall Mp x K block becomes its K x K triangle ``R`` with
+    ``R^H R = H^H H``, which is the block rotated by a unitary with its
+    zero rows dropped. Every rate depends on a block only through
+    ``H^H H``, so the rows hold the rates of the raw blocks up to
+    rounding. The width passed to a run is clamped to the factor's row
+    count, which is exact: an IIC filter keeps at most ``rank(H) <= K``
+    columns and RMF at most K, so no cell asks for more than the factor
+    has. Short blocks (Mp <= K) run as they are.
+
     ``cfg`` supplies the geometry and radio parameters; its ``seed`` and
     ``snr_rho`` are replaced by ``spec.seed`` and ``spec.rho``, and its
     ``panel_side_m`` by each profile's.
@@ -217,11 +229,14 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
                  for algo in spec.algorithms for pair in pairs}
         for t in range(spec.trials):
             chan = trial_channel(scenario, pcfg, t)
+            blocks = [numerics.user_side_factor(h) for h in chan.blocks]
+            factor_rows = blocks[0].shape[0]
             for algo in spec.algorithms:
                 for pair in pairs:
                     np_outputs, _ = pair
-                    result = _run_algorithm(algo, chan.blocks, spec.rho,
-                                            np_outputs, spec.passes)
+                    result = _run_algorithm(algo, blocks, spec.rho,
+                                            min(np_outputs, factor_rows),
+                                            spec.passes)
                     cell = cells[(algo, pair)]
                     cell["rates"].append(result.report.sum_rate_bits)
                     cell["caps"].append(result.report.channel_capacity_bits)

@@ -3,9 +3,10 @@
 Thin, contract-checked wrappers around LAPACK (via numpy) used by every
 other module: Hermitian eigendecomposition, SVD, base-2 log-determinants
 of Hermitian positive-definite matrices (``log2 det(I + X)`` among them),
-orthonormal range bases, and the projected Gram ``rho (Q^H H)^H (Q^H H)``
-that every captured covariance is made of. All functions are pure and
-safe to call from concurrent workers.
+orthonormal range bases, the projected Gram ``rho (Q^H H)^H (Q^H H)``
+that every captured covariance is made of, and the K x K user-side factor
+of a tall channel block. All functions are pure and safe to call from
+concurrent workers.
 """
 
 from dataclasses import dataclass
@@ -140,6 +141,21 @@ def projected_gram(q: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
     """
     t = q.conj().T @ h
     return rho * (t.conj().T @ t)
+
+
+def user_side_factor(h: np.ndarray) -> np.ndarray:
+    """K x K triangle ``R`` with ``R^H R = H^H H`` of a tall Mp x K block.
+
+    For Mp > K this is the ``R`` of a QR factorization, ``H = Q R``: the
+    block rotated by the unitary ``Q^H`` with its zero rows dropped. Every
+    rate and every chain accumulator depends on a block only through
+    ``H^H H``, so a run on ``R`` gives the rates of a run on ``H`` while
+    its kernels see K rows instead of Mp. A block with Mp <= K is returned
+    as it is.
+    """
+    if h.shape[0] <= h.shape[1]:
+        return h
+    return np.linalg.qr(h, mode="r")
 
 
 def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -133,6 +133,12 @@ class TestLosGain:
             channel.los_gain([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.05)
 
 
+def _panel_block(panel, users, wavelength_m):
+    """Unnormalized Mp x K block: ``los_gain`` of each antenna and user."""
+    return channel.los_gain(users.positions[None, :, :],
+                            panel.antenna_positions[:, None, :], wavelength_m)
+
+
 class TestPanelChannel:
     def _single_antenna_panel(self):
         return channel.Panel(index=0, center=np.zeros(3),
@@ -140,19 +146,19 @@ class TestPanelChannel:
 
     def test_matches_scalar_gain(self):
         users = channel.UserSet(np.array([[0.0, 0.0, 1.0]]))
-        h = channel.panel_channel(self._single_antenna_panel(), users, 0.05)
+        h = _panel_block(self._single_antenna_panel(), users, 0.05)
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(BROADSIDE_GAIN + 0.0j, rel=1e-12)
 
     def test_duplicate_users_duplicate_columns(self):
         p = self._single_antenna_panel()
         users = channel.UserSet(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
-        h = channel.panel_channel(p, users, 0.05)
+        h = _panel_block(p, users, 0.05)
         np.testing.assert_array_equal(h[:, 0], h[:, 1])
 
     def test_far_user_magnitude(self):
         users = channel.UserSet(np.array([[0.0, 0.0, 1000.0]]))
-        h = channel.panel_channel(self._single_antenna_panel(), users, 0.05)
+        h = _panel_block(self._single_antenna_panel(), users, 0.05)
         assert abs(h[0, 0]) == pytest.approx(BROADSIDE_GAIN / 1000.0,
                                              rel=1e-12)
 
@@ -161,8 +167,8 @@ class TestPanelChannel:
                           antenna_positions=rng.random((4, 3)) * [1, 1, 0])
         pos = rng.random((5, 3)) + [0, 0, 1.0]
         perm = rng.permutation(5)
-        h = channel.panel_channel(p, channel.UserSet(pos), 0.05)
-        h_perm = channel.panel_channel(p, channel.UserSet(pos[perm]), 0.05)
+        h = _panel_block(p, channel.UserSet(pos), 0.05)
+        h_perm = _panel_block(p, channel.UserSet(pos[perm]), 0.05)
         np.testing.assert_allclose(h[:, perm], h_perm, rtol=1e-12)
 
 
@@ -175,7 +181,7 @@ class TestRealizeChannel:
         target = sc.m_total * cfg.users_k
         assert power == pytest.approx(target, rel=1e-9)
         assert chan.p_count == 250
-        assert chan.stacked().shape == (4000, 20)
+        assert np.vstack(chan.blocks).shape == (4000, 20)
 
     def test_scalar_normalization(self, cfg):
         # single antenna facing a single broadside user whose raw gain is 2:
@@ -220,4 +226,5 @@ class TestRealizeChannel:
         for _ in range(2):
             users = channel.sample_users(sc, cfg, np.random.default_rng(cfg.seed))
             chans.append(channel.realize_channel(sc, users, cfg.wavelength_m))
-        np.testing.assert_array_equal(chans[0].stacked(), chans[1].stacked())
+        np.testing.assert_array_equal(np.vstack(chans[0].blocks),
+                                      np.vstack(chans[1].blocks))

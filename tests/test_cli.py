@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,37 @@ class TestRunSweep:
     def test_single_trial_zero_std(self):
         rows = cli.run_sweep(tiny_spec(trials=1, values=(1,)), tiny_cfg())
         assert rows[0].std_sum_rate_bits == 0.0
+
+
+class TestLargeProfileSweep:
+    """The sweep runs factored 400 x 20 blocks, ``run_trial`` raw ones."""
+
+    @staticmethod
+    def _assert_rows_match_run_trial(spec):
+        large = PanelProfile.LARGE
+        cfg = replace(ScenarioConfig(), panel_side_m=large.panel_side_m,
+                      seed=spec.seed, snr_rho=spec.rho)
+        scenario = build_scenario(cfg, large.antennas_per_panel)
+        rows = cli.run_sweep(spec)
+        assert len(rows) == len(spec.algorithms) * len(spec.values)
+        for row in rows:
+            report, _ = cli.run_trial(scenario, cfg, Algorithm(row.algorithm),
+                                      row.np, 0, spec.passes)
+            assert abs(row.mean_sum_rate_bits - report.sum_rate_bits) <= 1e-9
+            assert abs(row.mean_channel_capacity_bits
+                       - report.channel_capacity_bits) <= 1e-9
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_np_axis_matches_run_trial(self, passes):
+        self._assert_rows_match_run_trial(SweepSpec(
+            values=(1, 8, 20), panel_profiles=(PanelProfile.LARGE,),
+            trials=1, passes=passes))
+
+    def test_total_axis_above_user_count_matches_run_trial(self):
+        # 25 to 200 outputs per panel, more than the 20 rows of a factor
+        self._assert_rows_match_run_trial(SweepSpec(
+            axis=SweepAxis.TOTAL_N, values=(250, 500, 2000),
+            panel_profiles=(PanelProfile.LARGE,), trials=1, passes=2))
 
 
 class TestEmitCsv:

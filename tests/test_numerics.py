@@ -152,3 +152,27 @@ class TestOrthonormalRange:
             q = numerics.orthonormal_range(a)
             p = q @ q.conj().T
             assert np.max(np.abs(p @ p - p)) <= 1e-9
+
+
+class TestUserSideFactor:
+    @pytest.mark.parametrize("shape", [(5, 4), (12, 3), (400, 20)])
+    def test_tall_block_gives_triangle_with_same_gram(self, crandn, shape):
+        h = crandn(*shape)
+        r = numerics.user_side_factor(h)
+        k = shape[1]
+        assert r.shape == (k, k)
+        assert np.all(np.tril(r, -1) == 0.0)
+        gram = h.conj().T @ h
+        assert reconstruction_error(gram, r.conj().T @ r) <= 1e-13
+
+    def test_rank_deficient_tall_block(self, crandn):
+        h = crandn(9, 2) @ crandn(2, 4)
+        r = numerics.user_side_factor(h)
+        assert r.shape == (4, 4)
+        gram = h.conj().T @ h
+        assert reconstruction_error(gram, r.conj().T @ r) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 20)])
+    def test_short_block_is_returned_as_is(self, crandn, shape):
+        h = crandn(*shape)
+        assert numerics.user_side_factor(h) is h

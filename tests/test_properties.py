@@ -3,8 +3,9 @@
 Channels are small Gaussian blocks with per-user gains spread over three
 decades. Co-located users share one channel column, so a block's rank can
 fall below both its antenna count and the user count; every draw has more
-users than antennas per panel. The SNR spans rho in [1e-8, 1e9] and IIC
-runs one to three passes.
+users than antennas per panel, or, for the tall blocks that the sweep
+factors to their K x K triangle, more antennas than users. The SNR spans
+rho in [1e-8, 1e9] and IIC runs one to three passes.
 
 The draws are derandomized so the suite is reproducible. A randomized
 search over the same space finds the two rounding defects pinned by the
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lisim import chain
+from lisim import capacity, chain, numerics
 from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
 from lisim.chain import Algorithm
 from lisim.errors import NumericalDomainError
@@ -26,11 +27,12 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
 
 
 @st.composite
-def chain_inputs(draw):
-    """(blocks, rho, passes, distinct users) with K > Mp."""
+def chain_inputs(draw, tall=False):
+    """(blocks, rho, passes, distinct users) with K > Mp, or Mp > K if tall."""
     p = draw(st.integers(1, 4))
-    mp = draw(st.integers(1, 4))
-    k = draw(st.integers(mp + 1, mp + 3))
+    short = draw(st.integers(1, 4))
+    long = draw(st.integers(short + 1, short + 3))
+    mp, k = (long, short) if tall else (short, long)
     distinct = draw(st.integers(1, k))
     rho = 10.0 ** draw(st.floats(-8.0, 9.0))
     passes = draw(st.integers(1, 3))
@@ -121,6 +123,40 @@ def test_outputs_above_block_rank_change_nothing(inputs):
     assert (above.traffic.chain_complex_scalars
             == at_rank.traffic.chain_complex_scalars)
     assert above.traffic.backplane_scalars_per_use == len(blocks) * mp
+
+
+def _rates(blocks, rho, np_outputs, passes):
+    """IIC rate, RMF rate and the ceiling of one chain."""
+    return (chain.run_iic_chain(blocks, rho, np_outputs, passes)
+            .report.sum_rate_bits,
+            chain.run_rmf(blocks, np_outputs, rho).report.sum_rate_bits,
+            capacity.channel_capacity(np.vstack(blocks), rho))
+
+
+@PROPERTY_SETTINGS
+@given(chain_inputs(tall=True), st.data())
+def test_factored_blocks_keep_every_rate(inputs, data):
+    # factoring rotates each block by a unitary and drops zero rows, so
+    # the rates may move by the rounding an exact rotation causes
+    blocks, rho, passes, _ = inputs
+    mp, k = blocks[0].shape
+    np_outputs = data.draw(st.integers(1, mp))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    unitaries = [np.linalg.qr(rng.standard_normal((mp, mp))
+                              + 1j * rng.standard_normal((mp, mp)))[0]
+                 for _ in blocks]
+    factors = [numerics.user_side_factor(h) for h in blocks]
+    assert all(r.shape == (k, k) for r in factors)
+    raw = _rates(blocks, rho, np_outputs, passes)
+    rotated = _rates([u @ h for u, h in zip(unitaries, blocks)], rho,
+                     np_outputs, passes)
+    factored = _rates(factors, rho, min(np_outputs, k), passes)
+    # one rotation's deviation is a noisy sample of the rounding in forming
+    # I + rho H^H H, about K rho lambda_max eps per eigenvalue
+    rounding = (k * rho * np.linalg.norm(np.vstack(blocks), 2) ** 2
+                * np.finfo(float).eps / np.log(2.0))
+    for r, u, f in zip(raw, rotated, factored):
+        assert abs(f - r) <= max(1e-9, 4.0 * abs(u - r), 4.0 * rounding)
 
 
 def _one_site_blocks(p, mp, k, scale):
