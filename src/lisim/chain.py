@@ -103,7 +103,8 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     daisy chain of the envisioned hardware pipeline (the default single
     pass). In later passes each panel re-optimizes its filter against
     every other panel's current contribution, which can only increase
-    the objective.
+    the objective. ``z - C_i`` goes to the step as computed, Hermitian up
+    to rounding, which the relative ``numerics.check_hermitian`` accepts.
 
     Parameters
     ----------
@@ -129,10 +130,8 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
         # only a later pass reads the contributions
         keep_contribs = pass_index + 1 < passes
         for i, h in enumerate(blocks):
-            z_loo = msg.z - contribs[i]
-            z_loo = 0.5 * (z_loo + z_loo.conj().T)
-            filters[i], _, msg = iic_local_step(
-                h, ChainMessage(z_loo, msg.hop_index), rho, np_outputs)
+            z_loo = ChainMessage(msg.z - contribs[i], msg.hop_index)
+            filters[i], _, msg = iic_local_step(h, z_loo, rho, np_outputs)
             if keep_contribs:
                 contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
 

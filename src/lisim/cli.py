@@ -1,7 +1,8 @@
 """Monte Carlo experiment driver, sweep orchestration, and CSV emission.
 
 Config files are flat JSON objects whose keys match the field names of
-``ScenarioConfig`` and ``SweepSpec`` exactly. Command-line flags override
+``ScenarioConfig`` and ``SweepSpec`` exactly, except ``panel_side_m``,
+which the panel profile sets. Command-line flags override
 config values, which override built-in defaults. Everything downstream of
 (config, seed) is deterministic: rerunning a sweep reproduces the output
 file byte for byte.
@@ -303,6 +304,9 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
+    if "panel_side_m" in data:
+        raise ConfigError("panel_side_m is set by the panel profile "
+                          "(small or large), not by a config file")
     unknown = set(data) - _SCENARIO_KEYS - _SWEEP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")

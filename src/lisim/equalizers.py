@@ -104,10 +104,6 @@ class ChainMessage:
     def initial(cls, users_k: int) -> "ChainMessage":
         return cls(z=np.eye(users_k, dtype=complex), hop_index=0)
 
-    @property
-    def users_k(self) -> int:
-        return self.z.shape[0]
-
 
 def rmf_filter(h_panel, np_outputs: int) -> PanelEqualizer:
     """Reduced matched filter: the strongest channel columns of a panel.
@@ -158,8 +154,9 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     h_panel : array_like
         Local Mp x K channel block.
     z_prev : ChainMessage
-        Accumulator from the previous panel; Hermitian positive definite
-        (identity at the head of the chain).
+        Accumulator from the previous panel; positive definite and
+        Hermitian as ``numerics.check_hermitian`` defines it, which is
+        relative to scale (identity at the head of the chain).
     rho : float
         Linear SNR.
     np_outputs : int
@@ -173,7 +170,8 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     -------
     (PanelEqualizer, float, ChainMessage)
         The panel filter, the capacity increment ``delta_c`` in bits
-        contributed by this panel, and the accumulator to forward.
+        contributed by this panel, and the accumulator to forward,
+        ``z_prev + rho (W^H H)^H (W^H H)`` as computed (not symmetrized).
     """
     h = numerics._as_matrix(h_panel, "channel block")
     if np_outputs < 1:
@@ -195,5 +193,4 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     delta_c = numerics.logdet2_eye_plus(numerics.projected_gram(w, h_hat, 1.0))
 
     z_next = z_prev.z + numerics.projected_gram(w, h, rho)
-    z_next = 0.5 * (z_next + z_next.conj().T)
     return eq, delta_c, ChainMessage(z=z_next, hop_index=z_prev.hop_index + 1)

@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import NumericalDomainError
 
-#: Max absolute entry deviation tolerated in hermiticity checks.
+#: Max entry of ``|A - A^H|`` in Hermitian checks, relative to ``max |A|``.
 TOL_HERMITIAN = 1e-10
 
 #: Relative cutoff (vs. the largest singular value) for rank decisions.
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class SvdDecomp:
     singulars: np.ndarray
     right: np.ndarray
 
-    def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """Number of singular values above ``rank_tol`` times the largest."""
+    def rank(self) -> int:
+        """Number of singular values above ``RANK_TOL`` times the largest."""
         if self.singulars.size == 0 or self.singulars[0] <= 0.0:
             return 0
-        return int(np.count_nonzero(self.singulars > rank_tol * self.singulars[0]))
+        return int(np.count_nonzero(self.singulars > RANK_TOL * self.singulars[0]))
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -63,12 +63,17 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, tol: float = TOL_HERMITIAN) -> None:
-    """Raise unless ``max |A - A^H|`` is within ``tol``."""
+def check_hermitian(a: np.ndarray) -> None:
+    """Raise unless ``max |A - A^H| <= TOL_HERMITIAN * max |A|``.
+
+    The bound scales with ``A``, so rounding passes at any magnitude, and
+    an empty ``A`` passes. This is the only Hermitian guard: no producer
+    symmetrizes its result.
+    """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    deviation = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if deviation > tol:
+    deviation = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    if deviation > TOL_HERMITIAN * float(np.max(np.abs(a), initial=0.0)):
         raise NumericalDomainError(
             f"matrix is not Hermitian (max entry deviation {deviation:.3e})"
         )
@@ -80,7 +85,7 @@ def hermitian_eig(a) -> EigDecomp:
     Parameters
     ----------
     a : array_like
-        Square matrix, Hermitian within ``TOL_HERMITIAN``.
+        Square matrix, Hermitian as ``check_hermitian`` defines it.
 
     Raises
     ------
@@ -126,11 +131,10 @@ def logdet2_hpd(a) -> float:
 def logdet2_eye_plus(x: np.ndarray) -> float:
     """``log2 det(I + X)`` of a Hermitian positive-semidefinite K x K ``x``.
 
-    The sum is symmetrized before the factorization, so rounding in ``x``
-    never trips the Hermitian check of ``logdet2_hpd``.
+    ``I + X`` goes to ``logdet2_hpd`` as it is, so a non-Hermitian ``x``
+    raises ``NumericalDomainError`` there.
     """
-    a = np.eye(x.shape[0]) + x
-    return logdet2_hpd(0.5 * (a + a.conj().T))
+    return logdet2_hpd(np.eye(x.shape[0]) + x)
 
 
 def projected_gram(q: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
@@ -158,24 +162,12 @@ def user_side_factor(h: np.ndarray) -> np.ndarray:
     return np.linalg.qr(h, mode="r")
 
 
-def orthonormal_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def orthonormal_range(a) -> np.ndarray:
     """Orthonormal basis of the column space of ``a``.
 
-    Parameters
-    ----------
-    a : array_like
-        Matrix of shape (m, n).
-    rank_tol : float
-        Relative singular-value cutoff; columns are kept while their
-        singular value exceeds ``rank_tol`` times the largest one.
-
-    Returns
-    -------
-    numpy.ndarray
-        Semi-unitary matrix of shape (m, r) with r the numerical rank.
-        A zero (or empty) input yields r = 0.
+    Returns the semi-unitary m x r matrix of the left singular vectors
+    whose singular value exceeds ``RANK_TOL`` times the largest one, so
+    r is the numerical rank; a zero (or empty) input yields r = 0.
     """
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
     dec = svd(a)
-    return dec.left[:, : dec.rank(rank_tol)]
+    return dec.left[:, : dec.rank()]

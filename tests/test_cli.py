@@ -331,11 +331,23 @@ class TestMain:
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"panel_side_m": 0.3}), encoding="utf-8")
+        # 10.1 m is no whole number of 0.2 m panels
+        path.write_text(json.dumps({"lis_width_m": 10.1}), encoding="utf-8")
         out = tmp_path / "rows.csv"
         code = cli.main(["sweep", "--config", str(path), "--out", str(out)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert "lis_width_m" in capsys.readouterr().err
+
+    def test_panel_side_in_config_exits_2(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, panel_side_m=0.5)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert cli.main(["trial", "--config", str(cfg), "--algo", "iic",
+                         "--np", "1"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("panel_side_m is set by the panel profile") == 2
 
     def test_unwritable_output_exits_4(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -54,6 +54,28 @@ class TestHermitianEig:
             assert reconstruction_error(a, rebuilt) <= 1e-9
 
 
+class TestCheckHermitian:
+    """The tolerance is relative to the largest entry of the matrix."""
+
+    @staticmethod
+    def _hermitian(crandn, scale):
+        g = crandn(6, 6)
+        a = g + g.conj().T
+        return a * (scale / np.max(np.abs(a)))
+
+    def test_accepts_rounding_asymmetry_at_large_norm(self, crandn):
+        a = self._hermitian(crandn, 1e12)
+        a[0, 1] += 1e-15 * 1e12
+        assert np.max(np.abs(a - a.conj().T)) > 0.0
+        numerics.check_hermitian(a)
+
+    def test_rejects_relative_asymmetry_at_small_norm(self, crandn):
+        a = self._hermitian(crandn, 1e-12)
+        a[0, 1] += 1e-3 * 1e-12
+        with pytest.raises(NumericalDomainError):
+            numerics.check_hermitian(a)
+
+
 class TestSvd:
     def test_zero_matrix(self):
         dec = numerics.svd(np.zeros((2, 2)))
@@ -119,6 +141,13 @@ class TestLogdet2Hpd:
             numerics.logdet2_hpd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+class TestLogdet2EyePlus:
+    def test_rejects_non_hermitian(self):
+        # its Hermitian part, [[0, 0.5], [0.5, 0]], would give log2(0.75)
+        with pytest.raises(NumericalDomainError):
+            numerics.logdet2_eye_plus(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestOrthonormalRange:
     def test_rank_one_span(self):
         q = numerics.orthonormal_range(np.array([[1.0, 2.0], [0.0, 0.0]]))
@@ -141,10 +170,6 @@ class TestOrthonormalRange:
 
     def test_zero_matrix_empty_basis(self):
         assert numerics.orthonormal_range(np.zeros((3, 2))).shape == (3, 0)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            numerics.orthonormal_range(np.eye(2), rank_tol=0.0)
 
     def test_projector_idempotent(self, crandn):
         for _ in range(30):
