@@ -14,9 +14,8 @@ from .capacity import (CapacityReport, chain_capacity_trace, channel_capacity,
                        sum_rate_full, sum_rate_panelized)
 from .chain import (Algorithm, ChainResult, TrafficReport, run_centralized,
                     run_iic_chain, run_rmf)
-from .channel import (ChannelRealization, Panel, Scenario, ScenarioConfig,
-                      UserSet, build_scenario, los_gain, realize_channel,
-                      sample_users)
+from .channel import (ChannelRealization, Scenario, ScenarioConfig, UserSet,
+                      build_scenario, los_gain, realize_channel, sample_users)
 from .equalizers import (ChainMessage, EqualizerKind, EqualizerSet,
                          PanelEqualizer, iic_local_step, rmf_filter,
                          single_panel_filter)
@@ -31,7 +30,7 @@ __all__ = [
     "Algorithm", "CapacityReport", "ChainMessage", "ChainResult",
     "ChannelRealization", "ConfigError", "DegenerateChannelError",
     "EigDecomp", "EqualizerKind", "EqualizerSet", "LisimError",
-    "NumericalDomainError", "Panel", "PanelEqualizer", "Scenario",
+    "NumericalDomainError", "PanelEqualizer", "Scenario",
     "ScenarioConfig", "SvdDecomp", "TrafficReport", "UserSet",
     "build_scenario", "chain_capacity_trace", "channel_capacity",
     "hermitian_eig", "iic_local_step", "logdet2_hpd", "los_gain",

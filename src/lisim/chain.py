@@ -34,20 +34,13 @@ class TrafficReport:
 
     ``chain_complex_scalars`` counts the K x K accumulator messages on
     the dedicated panel-to-panel links (zero for local-only algorithms
-    and for centralized execution). ``chain_hermitian_scalars`` is the
-    same traffic under triangular compression of the Hermitian message,
-    reported for reference; the headline count is uncompressed.
+    and for centralized execution).
     """
 
     chain_complex_scalars: int
     backplane_scalars_per_use: int
     cpu_scalars_per_use: int
     centralized_csi_scalars: int
-    chain_hermitian_scalars: int
-
-    @property
-    def chain_bytes(self) -> int:
-        return 16 * self.chain_complex_scalars
 
 
 @dataclass(frozen=True)
@@ -146,7 +139,6 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
         backplane_scalars_per_use=p * np_outputs,
         cpu_scalars_per_use=k,
         centralized_csi_scalars=0,
-        chain_hermitian_scalars=hops * k * (k + 1) // 2,
     )
     return ChainResult(equalizers=eq_set, report=report, traffic=traffic,
                        passes_executed=passes)
@@ -170,7 +162,6 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
         backplane_scalars_per_use=eq_set.n_total,
         cpu_scalars_per_use=k,
         centralized_csi_scalars=0,
-        chain_hermitian_scalars=0,
     )
     return ChainResult(equalizers=eq_set, report=report, traffic=traffic,
                        passes_executed=1)
@@ -193,5 +184,5 @@ def run_centralized(blocks, rho: float, np_outputs: int,
     m_total = sum(np.asarray(b).shape[0] for b in blocks)
     users_k = np.asarray(blocks[0]).shape[1]
     return replace(base, traffic=replace(
-        base.traffic, chain_complex_scalars=0, chain_hermitian_scalars=0,
+        base.traffic, chain_complex_scalars=0,
         centralized_csi_scalars=m_total * users_k))

@@ -41,7 +41,6 @@ class ScenarioConfig:
     wavelength_m: float = 0.05
     snr_rho: float = 1.0
     min_user_depth_m: float = 0.5
-    seed: int = 42
 
     def validate(self) -> None:
         """Raise ConfigError if any field is out of range or inconsistent."""
@@ -55,8 +54,6 @@ class ScenarioConfig:
             raise ConfigError("users_k must be at least 1")
         if self.min_user_depth_m >= self.room_depth_m:
             raise ConfigError("min_user_depth_m must be smaller than room_depth_m")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
         _exact_div(self.lis_width_m, self.panel_side_m, "lis_width_m")
         _exact_div(self.lis_height_m, self.panel_side_m, "lis_height_m")
         if self.lis_width_m > self.room_width_m or self.lis_height_m > self.room_height_m:
@@ -75,35 +72,21 @@ def _exact_div(length: float, step: float, name: str) -> int:
 
 
 @dataclass(frozen=True)
-class Panel:
-    """One square sub-array: chain position, center, and antenna sites."""
-
-    index: int
-    center: np.ndarray
-    antenna_positions: np.ndarray  # (Mp, 3), all rows with z = 0
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Concrete panel layout built from a ScenarioConfig."""
+    """Antenna array built from a ScenarioConfig, in daisy-chain order.
 
-    panels: tuple
-    panel_side_m: float
+    ``antenna_positions`` is M x 3 (every row has z = 0) and lists the
+    panels one after another: rows ``i * Mp`` to ``(i + 1) * Mp - 1`` are
+    panel i, with panels numbered row-major (bottom row first, left to
+    right).
+    """
+
+    antenna_positions: np.ndarray
     antennas_per_panel: int
-    grid_rows: int
-    grid_cols: int
 
     @property
     def p_count(self) -> int:
-        return len(self.panels)
-
-    @property
-    def m_total(self) -> int:
-        return self.p_count * self.antennas_per_panel
-
-    @property
-    def antenna_spacing_m(self) -> float:
-        return self.panel_side_m / math.isqrt(self.antennas_per_panel)
+        return self.antenna_positions.shape[0] // self.antennas_per_panel
 
 
 @dataclass(frozen=True)
@@ -119,26 +102,13 @@ class UserSet:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-panel channel blocks after global power normalization.
+    """Per-panel Mp x K channel blocks in chain order.
 
-    The single scale ``norm_scale`` was applied to every block so that
-    the stacked matrix satisfies ``sum_i ||H_i||_F^2 = M * K``.
+    One scale is applied to every block so that the stacked matrix
+    satisfies ``sum_i ||H_i||_F^2 = M * K``.
     """
 
     blocks: tuple
-    norm_scale: float
-
-    @property
-    def p_count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def users_k(self) -> int:
-        return self.blocks[0].shape[1]
-
-    @property
-    def m_total(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
 
 
 def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
@@ -157,7 +127,8 @@ def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
     Returns
     -------
     Scenario
-        Panels in row-major order (bottom row first, left to right).
+        The M antenna positions, panel after panel in row-major order
+        (bottom row first, left to right).
     """
     cfg.validate()
     side = math.isqrt(int(mp))
@@ -174,19 +145,13 @@ def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
 
     x0 = -cfg.lis_width_m / 2.0
     y0 = (cfg.room_height_m - cfg.lis_height_m) / 2.0
-    panels = []
-    for pr in range(rows):
-        for pc in range(cols):
-            corner = np.array([x0 + pc * cfg.panel_side_m,
-                               y0 + pr * cfg.panel_side_m, 0.0])
-            panels.append(Panel(
-                index=pr * cols + pc,
-                center=corner + np.array([cfg.panel_side_m / 2.0,
-                                          cfg.panel_side_m / 2.0, 0.0]),
-                antenna_positions=local + corner,
-            ))
-    return Scenario(panels=tuple(panels), panel_side_m=cfg.panel_side_m,
-                    antennas_per_panel=mp, grid_rows=rows, grid_cols=cols)
+    # panel (r, c) has its lower-left corner at (x0 + c side, y0 + r side, 0)
+    corners = np.zeros((rows, cols, 3))
+    corners[:, :, 0] = x0 + np.arange(cols) * cfg.panel_side_m
+    corners[:, :, 1] = (y0 + np.arange(rows) * cfg.panel_side_m)[:, None]
+    positions = corners.reshape(-1, 1, 3) + local
+    return Scenario(antenna_positions=positions.reshape(-1, 3),
+                    antennas_per_panel=mp)
 
 
 def sample_users(scenario: Scenario, cfg: ScenarioConfig,
@@ -242,14 +207,12 @@ def realize_channel(scenario: Scenario, users: UserSet,
     A single scale c = sqrt(M K) / ||H_raw||_F is applied to every block
     so the stacked Frobenius norm squared equals M * K exactly.
     """
-    antennas = np.concatenate([p.antenna_positions for p in scenario.panels])
-    stacked = los_gain(users.positions[None, :, :], antennas[:, None, :],
-                       wavelength_m)
+    stacked = los_gain(users.positions[None, :, :],
+                       scenario.antenna_positions[:, None, :], wavelength_m)
     raw = np.split(stacked, scenario.p_count)
     # summed block by block: one sum over all M rows rounds differently
     power = sum(float(np.sum(np.abs(b) ** 2)) for b in raw)
     if power <= 0.0:
         raise DegenerateChannelError("raw channel is identically zero")
     scale = math.sqrt(stacked.shape[0] * users.users_k / power)
-    return ChannelRealization(blocks=tuple(scale * b for b in raw),
-                              norm_scale=scale)
+    return ChannelRealization(blocks=tuple(scale * b for b in raw))

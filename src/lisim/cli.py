@@ -123,14 +123,14 @@ class SweepRow:
 CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def trial_channel(scenario: Scenario, cfg: ScenarioConfig,
+def trial_channel(scenario: Scenario, cfg: ScenarioConfig, seed: int,
                   trial_index: int) -> ChannelRealization:
     """The channel realization of one trial.
 
     User positions come from the independent, reproducible generator
-    stream (cfg.seed, trial_index).
+    stream (seed, trial_index).
     """
-    rng = np.random.default_rng([cfg.seed, trial_index])
+    rng = np.random.default_rng([seed, trial_index])
     users = sample_users(scenario, cfg, rng)
     return realize_channel(scenario, users, cfg.wavelength_m)
 
@@ -144,14 +144,14 @@ def _run_algorithm(algorithm: Algorithm, blocks, rho: float,
 
 
 def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
-              np_outputs: int, trial_index: int, passes: int = 1):
+              np_outputs: int, seed: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
 
     Runs the decentralized algorithm on ``trial_channel`` and returns
     the capacity and traffic reports. Fully deterministic given
     (config, seed, trial_index).
     """
-    chan = trial_channel(scenario, cfg, trial_index)
+    chan = trial_channel(scenario, cfg, seed, trial_index)
     result = _run_algorithm(Algorithm(algorithm), chan.blocks, cfg.snr_rho,
                             np_outputs, passes)
     return result.report, result.traffic
@@ -209,27 +209,32 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     columns and RMF at most K, so no cell asks for more than the factor
     has. Short blocks (Mp <= K) run as they are.
 
-    ``cfg`` supplies the geometry and radio parameters; its ``seed`` and
-    ``snr_rho`` are replaced by ``spec.seed`` and ``spec.rho``, and its
-    ``panel_side_m`` by each profile's.
+    ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
+    is replaced by ``spec.rho``, and its ``panel_side_m`` by each
+    profile's. The trials draw their users from ``spec.seed``. Every
+    profile's scenario and axis values are built and checked before the
+    first trial runs, so a geometry or axis value that one profile
+    rejects fails at once.
 
     Returns a list of SweepRow.
     """
     spec.validate()
     if cfg is None:
         cfg = ScenarioConfig()
-    rows = []
+    plans = []
     for profile in spec.panel_profiles:
         pcfg = replace(cfg, panel_side_m=profile.panel_side_m,
-                       seed=spec.seed, snr_rho=spec.rho)
+                       snr_rho=spec.rho)
         scenario = build_scenario(pcfg, profile.antennas_per_panel)
-        pairs = _resolve_values(spec, profile, scenario.p_count,
-                                scenario.antennas_per_panel)
+        plans.append((profile, pcfg, scenario, _resolve_values(
+            spec, profile, scenario.p_count, scenario.antennas_per_panel)))
 
+    rows = []
+    for profile, pcfg, scenario, pairs in plans:
         cells = {(algo, pair): {"rates": [], "caps": [], "chain": 0}
                  for algo in spec.algorithms for pair in pairs}
         for t in range(spec.trials):
-            chan = trial_channel(scenario, pcfg, t)
+            chan = trial_channel(scenario, pcfg, spec.seed, t)
             blocks = [numerics.user_side_factor(h) for h in chan.blocks]
             factor_rows = blocks[0].shape[0]
             for algo in spec.algorithms:
@@ -333,7 +338,7 @@ def scenario_config_from_mapping(data: dict) -> ScenarioConfig:
         if f.name not in data:
             continue
         value = data[f.name]
-        if f.name in ("users_k", "seed"):
+        if f.name == "users_k":
             kwargs[f.name] = _coerce_int(value, f.name)
         else:
             kwargs[f.name] = _coerce_float(value, f.name)
@@ -490,14 +495,14 @@ def _cmd_trial(args) -> int:
     algorithm = Algorithm(args.algo)
     passes = spec.passes if algorithm is Algorithm.IIC else 1
     report, traffic = run_trial(scenario, cfg, algorithm, args.np_outputs,
-                                args.trial_index, passes)
+                                spec.seed, args.trial_index, passes)
     items = [
         ("profile", profile.value),
         ("algorithm", algorithm.value),
         ("np", args.np_outputs),
         ("n_total", args.np_outputs * scenario.p_count),
         ("rho", _fmt(cfg.snr_rho)),
-        ("seed", cfg.seed),
+        ("seed", spec.seed),
         ("trial_index", args.trial_index),
         ("passes", passes),
         ("sum_rate_bits", _fmt(report.sum_rate_bits)),

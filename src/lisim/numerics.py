@@ -37,15 +37,14 @@ class EigDecomp:
 
 @dataclass(frozen=True)
 class SvdDecomp:
-    """SVD ``left @ diag(singulars) @ right.conj().T`` (thin form).
+    """Left factor of a thin SVD ``A = left @ diag(singulars) @ V^H``.
 
-    ``left`` and ``right`` are semi-unitary; ``singulars`` is real,
-    nonnegative and sorted descending.
+    ``left`` is semi-unitary; ``singulars`` is real, nonnegative and
+    sorted descending. ``V`` is not kept: nothing reads it.
     """
 
     left: np.ndarray
     singulars: np.ndarray
-    right: np.ndarray
 
     def rank(self) -> int:
         """Number of singular values above ``RANK_TOL`` times the largest."""
@@ -103,8 +102,8 @@ def hermitian_eig(a) -> EigDecomp:
 def svd(a) -> SvdDecomp:
     """Thin singular value decomposition of an arbitrary complex matrix."""
     a = _as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdDecomp(left=u, singulars=s, right=vh.conj().T)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return SvdDecomp(left=u, singulars=s)
 
 
 def logdet2_hpd(a) -> float:

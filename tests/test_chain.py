@@ -36,8 +36,6 @@ class TestRunIicChain:
         blocks = random_blocks(crandn, 250, 2, 20)
         res = chain.run_iic_chain(blocks, 1.0, 1)
         assert res.traffic.chain_complex_scalars == 249 * 400  # 99600
-        assert res.traffic.chain_hermitian_scalars == 249 * 210
-        assert res.traffic.chain_bytes == 16 * 249 * 400
         assert res.traffic.cpu_scalars_per_use == 20
         assert res.traffic.backplane_scalars_per_use == 250
         assert res.traffic.centralized_csi_scalars == 0
@@ -122,7 +120,6 @@ class TestRunRmf:
     def test_no_chain_traffic(self, crandn):
         res = chain.run_rmf(random_blocks(crandn, 3, 4, 3), 2, rho=1.0)
         assert res.traffic.chain_complex_scalars == 0
-        assert res.traffic.chain_hermitian_scalars == 0
         assert res.traffic.centralized_csi_scalars == 0
         assert res.report.per_panel_cumulative.size == 0
 

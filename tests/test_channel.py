@@ -34,30 +34,42 @@ class TestScenarioConfig:
             replace(cfg, **overrides).validate()
 
 
+def _panels(sc):
+    """The antenna positions as a P x Mp x 3 array, one panel per row."""
+    return sc.antenna_positions.reshape(sc.p_count, sc.antennas_per_panel, 3)
+
+
+def _panel_spacing(sc):
+    """Smallest distance between two antennas of the first panel."""
+    pos = _panels(sc)[0]
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    return dist[~np.eye(len(pos), dtype=bool)].min()
+
+
 class TestBuildScenario:
     def test_small_panels(self, cfg):
         sc = channel.build_scenario(replace(cfg, panel_side_m=0.2), 16)
         assert sc.p_count == 250
-        assert sc.m_total == 4000
-        assert sc.antenna_spacing_m == pytest.approx(0.05)
+        assert sc.antenna_positions.shape == (4000, 3)
+        assert _panel_spacing(sc) == pytest.approx(0.05)
 
     def test_large_panels(self, cfg):
         sc = channel.build_scenario(replace(cfg, panel_side_m=1.0), 400)
         assert sc.p_count == 10
-        assert sc.m_total == 4000
-        assert sc.antenna_spacing_m == pytest.approx(0.05)
+        assert sc.antenna_positions.shape == (4000, 3)
+        assert _panel_spacing(sc) == pytest.approx(0.05)
 
     def test_single_antenna_at_panel_center(self, cfg):
         tiny = replace(cfg, lis_width_m=1.0, lis_height_m=1.0,
                        panel_side_m=1.0)
         sc = channel.build_scenario(tiny, 1)
         assert sc.p_count == 1
-        np.testing.assert_allclose(sc.panels[0].antenna_positions,
-                                   sc.panels[0].center[None, :])
+        # the one panel spans x in [-0.5, 0.5] and y in [1, 2]
+        np.testing.assert_allclose(sc.antenna_positions, [[0.0, 1.5, 0.0]])
 
     def test_antennas_inside_surface_rectangle(self, cfg):
         sc = channel.build_scenario(cfg, 16)
-        pos = np.vstack([p.antenna_positions for p in sc.panels])
+        pos = sc.antenna_positions
         assert np.all(pos[:, 2] == 0.0)
         assert np.all(np.abs(pos[:, 0]) < cfg.lis_width_m / 2)
         y0 = (cfg.room_height_m - cfg.lis_height_m) / 2
@@ -66,11 +78,16 @@ class TestBuildScenario:
 
     def test_row_major_chain_order(self, cfg):
         sc = channel.build_scenario(cfg, 16)
-        assert [p.index for p in sc.panels] == list(range(250))
-        # neighbors along the chain share a row until the row wraps
-        assert sc.panels[1].center[0] > sc.panels[0].center[0]
-        assert sc.panels[1].center[1] == sc.panels[0].center[1]
-        assert sc.panels[sc.grid_cols].center[1] > sc.panels[0].center[1]
+        centers = _panels(sc).mean(axis=1)
+        # 5 rows of 50 panels, bottom row first, each row left to right
+        row, col = np.divmod(np.arange(250), 50)
+        x0 = -cfg.lis_width_m / 2
+        y0 = (cfg.room_height_m - cfg.lis_height_m) / 2
+        np.testing.assert_allclose(centers[:, 0], x0 + (col + 0.5) * 0.2,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(centers[:, 1], y0 + (row + 0.5) * 0.2,
+                                   rtol=0, atol=1e-12)
+        assert np.all(centers[:, 2] == 0.0)
 
     def test_rejects_non_square_mp(self, cfg):
         with pytest.raises(ConfigError):
@@ -133,16 +150,15 @@ class TestLosGain:
             channel.los_gain([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.05)
 
 
-def _panel_block(panel, users, wavelength_m):
+def _panel_block(antennas, users, wavelength_m):
     """Unnormalized Mp x K block: ``los_gain`` of each antenna and user."""
     return channel.los_gain(users.positions[None, :, :],
-                            panel.antenna_positions[:, None, :], wavelength_m)
+                            antennas[:, None, :], wavelength_m)
 
 
 class TestPanelChannel:
     def _single_antenna_panel(self):
-        return channel.Panel(index=0, center=np.zeros(3),
-                             antenna_positions=np.zeros((1, 3)))
+        return np.zeros((1, 3))
 
     def test_matches_scalar_gain(self):
         users = channel.UserSet(np.array([[0.0, 0.0, 1.0]]))
@@ -163,8 +179,7 @@ class TestPanelChannel:
                                              rel=1e-12)
 
     def test_permutation_equivariance(self, rng):
-        p = channel.Panel(index=0, center=np.zeros(3),
-                          antenna_positions=rng.random((4, 3)) * [1, 1, 0])
+        p = rng.random((4, 3)) * [1, 1, 0]
         pos = rng.random((5, 3)) + [0, 0, 1.0]
         perm = rng.permutation(5)
         h = _panel_block(p, channel.UserSet(pos), 0.05)
@@ -178,9 +193,9 @@ class TestRealizeChannel:
         users = channel.sample_users(sc, cfg, np.random.default_rng(5))
         chan = channel.realize_channel(sc, users, cfg.wavelength_m)
         power = sum(np.sum(np.abs(b) ** 2) for b in chan.blocks)
-        target = sc.m_total * cfg.users_k
+        target = sc.antenna_positions.shape[0] * cfg.users_k
         assert power == pytest.approx(target, rel=1e-9)
-        assert chan.p_count == 250
+        assert len(chan.blocks) == 250
         assert np.vstack(chan.blocks).shape == (4000, 20)
 
     def test_scalar_normalization(self, cfg):
@@ -191,11 +206,14 @@ class TestRealizeChannel:
         tiny = replace(cfg, lis_width_m=1.0, lis_height_m=1.0,
                        panel_side_m=1.0, users_k=1)
         sc = channel.build_scenario(tiny, 1)
-        antenna = sc.panels[0].antenna_positions[0]
+        antenna = sc.antenna_positions[0]
         users = channel.UserSet(np.array([[antenna[0], antenna[1], z]]))
+        raw = channel.los_gain(users.positions[0], antenna, z)
+        assert raw == pytest.approx(2.0 + 0.0j, rel=1e-12)
         chan = channel.realize_channel(sc, users, wavelength_m=z)
         assert chan.blocks[0][0, 0] == pytest.approx(1.0 + 0.0j, rel=1e-12)
-        assert chan.norm_scale == pytest.approx(0.5, rel=1e-12)
+        # M K = 1, so the scale is 1 / |raw|
+        assert np.sum(np.abs(chan.blocks[0]) ** 2) == pytest.approx(1.0)
 
     def test_rescaled_geometry_keeps_normalized_power(self, cfg):
         tiny = replace(cfg, lis_width_m=1.0, lis_height_m=1.0,
@@ -203,13 +221,19 @@ class TestRealizeChannel:
         sc = channel.build_scenario(tiny, 4)
         rng = np.random.default_rng(9)
         pos = channel.sample_users(sc, tiny, rng).positions
-        near = channel.realize_channel(sc, channel.UserSet(pos), 0.05)
-        far = channel.realize_channel(sc, channel.UserSet(pos * [1, 1, 4.0]),
-                                      0.05)
-        assert far.norm_scale > near.norm_scale  # weaker raw channel
-        for chan in (near, far):
+        scales = []
+        for users in (pos, pos * [1, 1, 4.0]):
+            chan = channel.realize_channel(sc, channel.UserSet(users), 0.05)
+            raw = _panel_block(sc.antenna_positions, channel.UserSet(users),
+                               0.05)
+            scale = abs(chan.blocks[0][0, 0] / raw[0, 0])
+            np.testing.assert_allclose(np.vstack(chan.blocks), scale * raw,
+                                       rtol=1e-12)
             power = sum(np.sum(np.abs(b) ** 2) for b in chan.blocks)
-            assert power == pytest.approx(sc.m_total * tiny.users_k, rel=1e-9)
+            target = sc.antenna_positions.shape[0] * tiny.users_k
+            assert power == pytest.approx(target, rel=1e-9)
+            scales.append(scale)
+        assert scales[1] > scales[0]  # the far users' raw channel is weaker
 
     def test_underflowed_channel_raises(self, cfg):
         tiny = replace(cfg, lis_width_m=1.0, lis_height_m=1.0,
@@ -224,7 +248,7 @@ class TestRealizeChannel:
         sc = channel.build_scenario(cfg, 16)
         chans = []
         for _ in range(2):
-            users = channel.sample_users(sc, cfg, np.random.default_rng(cfg.seed))
+            users = channel.sample_users(sc, cfg, np.random.default_rng(42))
             chans.append(channel.realize_channel(sc, users, cfg.wavelength_m))
         np.testing.assert_array_equal(np.vstack(chans[0].blocks),
                                       np.vstack(chans[1].blocks))

