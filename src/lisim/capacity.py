@@ -100,7 +100,11 @@ def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
     entry equals ``sum_rate_panelized`` and consecutive differences equal
     the per-panel increments reported by the chain steps.
     """
-    grams = _panel_grams(blocks, eq, rho)
+    return _cumulative_trace(_panel_grams(blocks, eq, rho))
+
+
+def _cumulative_trace(grams) -> np.ndarray:
+    """``log2 det(I + G_0 + ... + G_i)`` for each i, the terms added in order."""
     if not grams:
         return np.zeros(0)
     acc = np.zeros_like(grams[0])

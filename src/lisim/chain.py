@@ -67,18 +67,11 @@ def _validate_blocks(blocks, np_outputs: int):
     return blocks, k
 
 
-def _build_report(blocks, eq: EqualizerSet, rho: float,
-                  with_trace: bool) -> capacity.CapacityReport:
-    cap = capacity.channel_capacity(np.vstack(blocks), rho)
-    if with_trace:
-        trace = capacity.chain_capacity_trace(blocks, eq, rho)
-        sum_rate = float(trace[-1])
-    else:
-        trace = np.zeros(0)
-        sum_rate = capacity.sum_rate_panelized(blocks, eq, rho)
-    report = capacity.CapacityReport(sum_rate_bits=sum_rate,
-                                     per_panel_cumulative=trace,
-                                     channel_capacity_bits=cap)
+def _build_report(blocks, rho: float, sum_rate: float,
+                  trace: np.ndarray) -> capacity.CapacityReport:
+    report = capacity.CapacityReport(
+        sum_rate_bits=sum_rate, per_panel_cumulative=trace,
+        channel_capacity_bits=capacity.channel_capacity(np.vstack(blocks), rho))
     report.validate()
     return report
 
@@ -92,12 +85,15 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     the identity, and each panel's captured covariance ``C_i``, which
     starts at zero. Panel i steps against ``z - C_i``, replaces ``C_i``
     by its new contribution and forwards the step's message as ``z``. In
-    the first pass every ``C_i`` is still zero, so the fold is the plain
-    daisy chain of the envisioned hardware pipeline (the default single
-    pass). In later passes each panel re-optimizes its filter against
-    every other panel's current contribution, which can only increase
-    the objective. ``z - C_i`` goes to the step as computed, Hermitian up
-    to rounding, which the relative ``numerics.check_hermitian`` accepts.
+    the first pass every ``C_i`` is still zero, so each panel steps
+    against ``z`` itself: the plain daisy chain of the envisioned
+    hardware pipeline (the default single pass). In later passes each
+    panel re-optimizes its filter against every other panel's current
+    contribution, which can only increase the objective. ``z - C_i`` goes
+    to the step as computed, Hermitian up to rounding, which the relative
+    ``numerics.check_hermitian`` accepts. The last pass's ``C_i`` are the
+    terms of the report's per-panel trace, which therefore equals
+    ``capacity.chain_capacity_trace`` of the returned filters.
 
     Parameters
     ----------
@@ -118,18 +114,18 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
 
     msg = ChainMessage.initial(k)
     filters = [None] * len(blocks)
-    contribs = [np.zeros((k, k), dtype=complex)] * len(blocks)
+    contribs = [None] * len(blocks)
     for pass_index in range(passes):
-        # only a later pass reads the contributions
-        keep_contribs = pass_index + 1 < passes
         for i, h in enumerate(blocks):
-            z_loo = ChainMessage(msg.z - contribs[i], msg.hop_index)
+            # in the first pass there is no own contribution to leave out
+            z_loo = (msg if pass_index == 0
+                     else ChainMessage(msg.z - contribs[i], msg.hop_index))
             filters[i], _, msg = iic_local_step(h, z_loo, rho, np_outputs)
-            if keep_contribs:
-                contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
+            contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
 
     eq_set = EqualizerSet(per_panel=tuple(filters))
-    report = _build_report(blocks, eq_set, rho, with_trace=True)
+    trace = capacity._cumulative_trace(contribs)
+    report = _build_report(blocks, rho, float(trace[-1]), trace)
     p = len(blocks)
     hops = (p - 1) * passes
     # every panel drives np backplane outputs; a rank-deficient panel's
@@ -156,7 +152,9 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
         raise ConfigError("rho must be positive")
     eq_set = EqualizerSet(per_panel=tuple(
         rmf_filter(h, np_outputs) for h in blocks))
-    report = _build_report(blocks, eq_set, rho, with_trace=False)
+    report = _build_report(
+        blocks, rho, capacity.sum_rate_panelized(blocks, eq_set, rho),
+        np.zeros(0))
     traffic = TrafficReport(
         chain_complex_scalars=0,
         backplane_scalars_per_use=eq_set.n_total,

@@ -209,10 +209,12 @@ def realize_channel(scenario: Scenario, users: UserSet,
     """
     stacked = los_gain(users.positions[None, :, :],
                        scenario.antenna_positions[:, None, :], wavelength_m)
-    raw = np.split(stacked, scenario.p_count)
+    p = scenario.p_count
     # summed block by block: one sum over all M rows rounds differently
-    power = sum(float(np.sum(np.abs(b) ** 2)) for b in raw)
+    block_powers = np.sum(np.abs(stacked.reshape(p, -1, users.users_k)) ** 2,
+                          axis=(1, 2))
+    power = sum(block_powers.tolist())
     if power <= 0.0:
         raise DegenerateChannelError("raw channel is identically zero")
     scale = math.sqrt(stacked.shape[0] * users.users_k / power)
-    return ChannelRealization(blocks=tuple(scale * b for b in raw))
+    return ChannelRealization(blocks=tuple(np.split(scale * stacked, p)))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .chain import Algorithm, ChainResult, run_iic_chain, run_rmf
+from .chain import Algorithm, run_iic_chain, run_rmf
 from .channel import (ChannelRealization, ScenarioConfig, Scenario,
                       build_scenario, realize_channel, sample_users)
 from .errors import ConfigError, NumericalDomainError
@@ -135,25 +135,56 @@ def trial_channel(scenario: Scenario, cfg: ScenarioConfig, seed: int,
     return realize_channel(scenario, users, cfg.wavelength_m)
 
 
-def _run_algorithm(algorithm: Algorithm, blocks, rho: float,
-                   np_outputs: int, passes: int) -> ChainResult:
-    """Decentralized run of one algorithm; RMF makes a single pass."""
-    if algorithm is Algorithm.IIC:
-        return run_iic_chain(blocks, rho, np_outputs, passes)
-    return run_rmf(blocks, np_outputs, rho)
+def _run_cells(blocks, cells, rho: float, passes: int):
+    """Decentralized runs of one trial's blocks, one per (algorithm, np) cell.
+
+    The blocks are factored once, by ``numerics.user_side_factor``, and
+    every cell shares the factors: a tall Mp x K block becomes its K x K
+    triangle ``R`` with ``R^H R = H^H H``, which is the block rotated by
+    a unitary with its zero rows dropped. Every rate depends on a block
+    only through ``H^H H``, so the runs give the rates of the raw blocks
+    up to rounding. The width passed to a run is clamped to the factor's
+    row count, which is exact: an IIC filter keeps at most
+    ``rank(H) <= K`` columns and RMF at most K, so no cell asks for more
+    than the factor has. IIC's ``backplane_scalars_per_use`` still counts
+    the requested np, as on the raw blocks: every panel drives np outputs
+    and the ones beyond its filter's width carry zeros. Short blocks
+    (Mp <= K) run as they are. RMF makes a single pass.
+
+    Yields one ChainResult per cell, in order, so that a caller holds one
+    cell's filters at a time.
+    """
+    mp = blocks[0].shape[0]
+    factors = [numerics.user_side_factor(h) for h in blocks]
+    factor_rows = factors[0].shape[0]
+    for algorithm, np_outputs in cells:
+        if np_outputs > mp:
+            raise ConfigError("np_outputs cannot exceed the panel antenna count")
+        width = min(np_outputs, factor_rows)
+        if algorithm is Algorithm.IIC:
+            result = run_iic_chain(factors, rho, width, passes)
+            if width < np_outputs:
+                result = replace(result, traffic=replace(
+                    result.traffic,
+                    backplane_scalars_per_use=len(factors) * np_outputs))
+        else:
+            result = run_rmf(factors, width, rho)
+        yield result
 
 
 def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
               np_outputs: int, seed: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
 
-    Runs the decentralized algorithm on ``trial_channel`` and returns
-    the capacity and traffic reports. Fully deterministic given
-    (config, seed, trial_index).
+    Runs the decentralized algorithm on the factored blocks of
+    ``trial_channel``, as ``run_sweep`` does (see ``_run_cells``), and
+    returns the capacity and traffic reports. The rates are those of the
+    raw blocks up to rounding, and the traffic report is theirs exactly.
+    Fully deterministic given (config, seed, trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
-    result = _run_algorithm(Algorithm(algorithm), chan.blocks, cfg.snr_rho,
-                            np_outputs, passes)
+    (result,) = _run_cells(chan.blocks, [(Algorithm(algorithm), np_outputs)],
+                           cfg.snr_rho, passes)
     return result.report, result.traffic
 
 
@@ -198,16 +229,9 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     are reproducible byte for byte. Rows are ordered by profile, then
     algorithm, then axis value.
 
-    Each trial's blocks are factored once, by
-    ``numerics.user_side_factor``, and the factors are shared by every
-    cell: a tall Mp x K block becomes its K x K triangle ``R`` with
-    ``R^H R = H^H H``, which is the block rotated by a unitary with its
-    zero rows dropped. Every rate depends on a block only through
-    ``H^H H``, so the rows hold the rates of the raw blocks up to
-    rounding. The width passed to a run is clamped to the factor's row
-    count, which is exact: an IIC filter keeps at most ``rank(H) <= K``
-    columns and RMF at most K, so no cell asks for more than the factor
-    has. Short blocks (Mp <= K) run as they are.
+    Each trial's blocks are factored once and every cell shares the
+    factors (see ``_run_cells``). A cell's rate in one trial is therefore
+    ``run_trial``'s bit for bit, and the raw blocks' up to rounding.
 
     ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
     is replaced by ``spec.rho``, and its ``panel_side_m`` by each
@@ -233,20 +257,14 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     for profile, pcfg, scenario, pairs in plans:
         cells = {(algo, pair): {"rates": [], "caps": [], "chain": 0}
                  for algo in spec.algorithms for pair in pairs}
+        keys = [(algo, np_outputs) for algo, (np_outputs, _) in cells]
         for t in range(spec.trials):
             chan = trial_channel(scenario, pcfg, spec.seed, t)
-            blocks = [numerics.user_side_factor(h) for h in chan.blocks]
-            factor_rows = blocks[0].shape[0]
-            for algo in spec.algorithms:
-                for pair in pairs:
-                    np_outputs, _ = pair
-                    result = _run_algorithm(algo, blocks, spec.rho,
-                                            min(np_outputs, factor_rows),
-                                            spec.passes)
-                    cell = cells[(algo, pair)]
-                    cell["rates"].append(result.report.sum_rate_bits)
-                    cell["caps"].append(result.report.channel_capacity_bits)
-                    cell["chain"] = result.traffic.chain_complex_scalars
+            for cell, result in zip(cells.values(), _run_cells(
+                    chan.blocks, keys, spec.rho, spec.passes)):
+                cell["rates"].append(result.report.sum_rate_bits)
+                cell["caps"].append(result.report.channel_capacity_bits)
+                cell["chain"] = result.traffic.chain_complex_scalars
 
         for algo in spec.algorithms:
             for pair in pairs:

@@ -54,10 +54,12 @@ class SvdDecomp:
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    # a complex128 ndarray is already what np.asarray would return
+    if type(a) is not np.ndarray or a.dtype != np.complex128:
+        a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalDomainError(f"{name} contains non-finite entries")
     return a
 
@@ -71,8 +73,8 @@ def check_hermitian(a: np.ndarray) -> None:
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    deviation = float(np.max(np.abs(a - a.conj().T), initial=0.0))
-    if deviation > TOL_HERMITIAN * float(np.max(np.abs(a), initial=0.0)):
+    deviation = float(np.abs(a - a.conj().T).max(initial=0.0))
+    if deviation > TOL_HERMITIAN * float(np.abs(a).max(initial=0.0)):
         raise NumericalDomainError(
             f"matrix is not Hermitian (max entry deviation {deviation:.3e})"
         )
@@ -124,7 +126,7 @@ def logdet2_hpd(a) -> float:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    return float(2.0 * np.log2(chol.diagonal().real).sum())
 
 
 def logdet2_eye_plus(x: np.ndarray) -> float:

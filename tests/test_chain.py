@@ -78,6 +78,15 @@ class TestRunIicChain:
         assert rates[1] >= rates[0] - 1e-9
         assert rates[2] >= rates[1] - 1e-9
 
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("mp, k", [(3, 5), (7, 3)])
+    def test_report_trace_is_chain_capacity_trace(self, crandn, passes, mp, k):
+        blocks = random_blocks(crandn, 4, mp, k)
+        result = chain.run_iic_chain(blocks, 2.0, 2, passes)
+        np.testing.assert_array_equal(
+            result.report.per_panel_cumulative,
+            capacity.chain_capacity_trace(blocks, result.equalizers, 2.0))
+
     def test_pass_count_scales_traffic(self, crandn):
         blocks = random_blocks(crandn, 3, 3, 2)
         res = chain.run_iic_chain(blocks, 1.0, 1, passes=2)

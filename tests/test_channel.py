@@ -244,6 +244,23 @@ class TestRealizeChannel:
         with pytest.raises(DegenerateChannelError):
             channel.realize_channel(sc, users, 0.05)
 
+    @pytest.mark.parametrize("side, mp", [(0.2, 16), (1.0, 400)])
+    def test_blocks_match_per_block_formula(self, cfg, side, mp):
+        # the power summed block by block and each block scaled on its own
+        profile = replace(cfg, panel_side_m=side)
+        sc = channel.build_scenario(profile, mp)
+        for trial in range(3):
+            users = channel.sample_users(
+                sc, profile, np.random.default_rng([42, trial]))
+            stacked = _panel_block(sc.antenna_positions, users, 0.05)
+            raw = np.split(stacked, sc.p_count)
+            power = sum(float(np.sum(np.abs(b) ** 2)) for b in raw)
+            scale = math.sqrt(stacked.shape[0] * profile.users_k / power)
+            chan = channel.realize_channel(sc, users, 0.05)
+            assert len(chan.blocks) == len(raw)
+            for got, b in zip(chan.blocks, raw):
+                np.testing.assert_array_equal(got, scale * b)
+
     def test_deterministic_given_seed(self, cfg):
         sc = channel.build_scenario(cfg, 16)
         chans = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lisim import cli
-from lisim.chain import Algorithm
+from lisim.chain import Algorithm, run_iic_chain, run_rmf
 from lisim.channel import ScenarioConfig, build_scenario
 from lisim.cli import PanelProfile, SweepAxis, SweepSpec
 from lisim.errors import ConfigError, NumericalDomainError
@@ -99,6 +99,15 @@ class TestRunTrial:
         assert report.sum_rate_bits == pytest.approx(
             report.channel_capacity_bits, rel=1e-6)
 
+    def test_rejects_np_above_antenna_count(self):
+        # the factored run could hold only 20 outputs, so the width clamp
+        # must not hide an np above the 400 antennas of a raw block
+        large = PanelProfile.LARGE
+        cfg = replace(ScenarioConfig(), panel_side_m=large.panel_side_m)
+        scenario = build_scenario(cfg, large.antennas_per_panel)
+        with pytest.raises(ConfigError):
+            cli.run_trial(scenario, cfg, Algorithm.IIC, 401, 42, 0)
+
 
 class TestRunSweep:
     def test_row_cardinality_and_order(self):
@@ -145,32 +154,43 @@ class TestRunSweep:
 
 
 class TestLargeProfileSweep:
-    """The sweep runs factored 400 x 20 blocks, ``run_trial`` raw ones."""
+    """The sweep and ``run_trial`` run factored 400 x 20 blocks.
+
+    Both must give the rates of the raw blocks of ``trial_channel``.
+    """
 
     @staticmethod
-    def _assert_rows_match_run_trial(spec):
+    def _assert_matches_raw_blocks(spec):
         large = PanelProfile.LARGE
         cfg = replace(ScenarioConfig(), panel_side_m=large.panel_side_m,
                       snr_rho=spec.rho)
         scenario = build_scenario(cfg, large.antennas_per_panel)
+        raw = cli.trial_channel(scenario, cfg, spec.seed, 0).blocks
         rows = cli.run_sweep(spec)
         assert len(rows) == len(spec.algorithms) * len(spec.values)
         for row in rows:
-            report, _ = cli.run_trial(scenario, cfg, Algorithm(row.algorithm),
-                                      row.np, spec.seed, 0, spec.passes)
-            assert abs(row.mean_sum_rate_bits - report.sum_rate_bits) <= 1e-9
-            assert abs(row.mean_channel_capacity_bits
-                       - report.channel_capacity_bits) <= 1e-9
+            algorithm = Algorithm(row.algorithm)
+            if algorithm is Algorithm.IIC:
+                want = run_iic_chain(raw, spec.rho, row.np, spec.passes)
+            else:
+                want = run_rmf(raw, row.np, spec.rho)
+            report, _ = cli.run_trial(scenario, cfg, algorithm, row.np,
+                                      spec.seed, 0, spec.passes)
+            for rate in (row.mean_sum_rate_bits, report.sum_rate_bits):
+                assert abs(rate - want.report.sum_rate_bits) <= 1e-9
+            for cap in (row.mean_channel_capacity_bits,
+                        report.channel_capacity_bits):
+                assert abs(cap - want.report.channel_capacity_bits) <= 1e-9
 
     @pytest.mark.parametrize("passes", [1, 2])
     def test_np_axis_matches_run_trial(self, passes):
-        self._assert_rows_match_run_trial(SweepSpec(
+        self._assert_matches_raw_blocks(SweepSpec(
             values=(1, 8, 20), panel_profiles=(PanelProfile.LARGE,),
             trials=1, passes=passes))
 
     def test_total_axis_above_user_count_matches_run_trial(self):
         # 25 to 200 outputs per panel, more than the 20 rows of a factor
-        self._assert_rows_match_run_trial(SweepSpec(
+        self._assert_matches_raw_blocks(SweepSpec(
             axis=SweepAxis.TOTAL_N, values=(250, 500, 2000),
             panel_profiles=(PanelProfile.LARGE,), trials=1, passes=2))
 
@@ -329,6 +349,21 @@ class TestMain:
         assert (float(report["sum_rate_bits"])
                 <= float(report["channel_capacity_bits"]) + 1e-6)
         assert report["chain_complex_scalars"] == str(4 * 16)
+
+    @pytest.mark.parametrize("np_arg, backplane", [("25", "250"),
+                                                    ("400", "4000")])
+    def test_large_trial_traffic_counts_requested_np(self, capsys, np_arg,
+                                                     backplane):
+        # the factored run is clamped to 20 outputs per panel; the
+        # accounting still counts every requested output of the 10 panels
+        code = cli.main(["trial", "--profile", "large", "--algo", "iic",
+                         "--np", np_arg])
+        assert code == 0
+        report = dict(line.split("=", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        assert report["n_total"] == backplane
+        assert report["backplane_scalars_per_use"] == backplane
+        assert report["chain_complex_scalars"] == str(9 * 20 * 20)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

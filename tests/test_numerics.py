@@ -181,6 +181,36 @@ class TestOrthonormalRange:
             assert np.max(np.abs(p @ p - p)) <= 1e-9
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.0, np.inf)])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(NumericalDomainError):
+            numerics._as_matrix(a)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ValueError):
+            numerics._as_matrix(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_accepts_empty(self, shape):
+        assert numerics._as_matrix(np.zeros(shape, dtype=complex)).shape == shape
+
+    def test_complex_array_passes_through(self, crandn):
+        a = crandn(3, 2)
+        assert numerics._as_matrix(a) is a
+
+    @pytest.mark.parametrize("a", [[[1, 2], [3, 4]],
+                                   np.arange(6.0).reshape(2, 3)])
+    def test_converts_list_and_real_input(self, a):
+        out = numerics._as_matrix(a)
+        assert type(out) is np.ndarray and out.dtype == np.complex128
+        np.testing.assert_array_equal(out, np.asarray(a))
+
+
 class TestUserSideFactor:
     @pytest.mark.parametrize("shape", [(5, 4), (12, 3), (400, 20)])
     def test_tall_block_gives_triangle_with_same_gram(self, crandn, shape):
