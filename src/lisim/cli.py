@@ -3,7 +3,8 @@
 Config files are flat JSON objects whose keys match the field names of
 ``ScenarioConfig`` and ``SweepSpec`` exactly, except ``panel_side_m``,
 which the panel profile sets. Command-line flags override
-config values, which override built-in defaults. Everything downstream of
+config values, which override built-in defaults; flags and files share one
+reader per key (``_READERS``). Everything downstream of
 (config, seed) is deterministic: rerunning a sweep reproduces the output
 file byte for byte.
 
@@ -17,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +130,10 @@ def trial_channel(scenario: Scenario, cfg: ScenarioConfig, seed: int,
     """The channel realization of one trial.
 
     User positions come from the independent, reproducible generator
-    stream (seed, trial_index).
+    stream (seed, trial_index), so the index must be nonnegative.
     """
+    if trial_index < 0:
+        raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
     rng = np.random.default_rng([seed, trial_index])
     users = sample_users(scenario, cfg, rng)
     return realize_channel(scenario, users, cfg.wavelength_m)
@@ -337,84 +341,74 @@ def load_config_file(path) -> dict:
 
 
 def _coerce_int(value, key: str) -> int:
-    if isinstance(value, bool) or int(value) != value:
-        raise ConfigError(f"config key {key} must be an integer")
-    return int(value)
+    try:
+        if not isinstance(value, (bool, str)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config key {key} must be an integer, got {value!r}")
 
 
 def _coerce_float(value, key: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key} must be a number") from exc
+        if not isinstance(value, (bool, str)):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config key {key} must be a number, got {value!r}")
 
 
-def scenario_config_from_mapping(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from the scenario keys of a config mapping."""
-    kwargs = {}
-    for f in fields(ScenarioConfig):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if f.name == "users_k":
-            kwargs[f.name] = _coerce_int(value, f.name)
-        else:
-            kwargs[f.name] = _coerce_float(value, f.name)
-    cfg = ScenarioConfig(**kwargs)
-    cfg.validate()
-    return cfg
-
-
-def _parse_axis(value) -> SweepAxis:
-    try:
-        return SweepAxis(str(value).lower())
-    except ValueError as exc:
-        raise ConfigError(f"axis must be 'np' or 'n', got {value!r}") from exc
-
-
-def _parse_list(value, enum_cls, what: str):
+def _entries(value, key: str) -> list:
+    """The entries of a JSON list, or of a comma string (digits as ints)."""
     if isinstance(value, str):
         items = [v.strip() for v in value.split(",") if v.strip()]
-    else:
-        items = list(value)
-    out = []
-    for item in items:
-        try:
-            member = enum_cls(str(item).lower())
-        except ValueError as exc:
-            names = ", ".join(m.value for m in enum_cls)
-            raise ConfigError(f"unknown {what} {item!r} (choose from {names})") from exc
-        if member not in out:
-            out.append(member)
-    if not out:
-        raise ConfigError(f"at least one {what} is required")
-    return tuple(out)
+        return [int(v) if v.isdecimal() else v for v in items]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {key} must be a list or a comma string")
+    return list(value)
 
 
-def sweep_spec_from_mapping(data: dict) -> SweepSpec:
-    """Build a SweepSpec from the sweep keys of a config mapping."""
-    kwargs = {}
-    if "axis" in data:
-        kwargs["axis"] = _parse_axis(data["axis"])
-    if "values" in data:
-        values = data["values"]
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError("values must be a list of positive integers")
-        kwargs["values"] = tuple(_coerce_int(v, "values") for v in values)
-    if "algorithms" in data:
-        kwargs["algorithms"] = _parse_list(data["algorithms"], Algorithm,
-                                           "algorithm")
-    if "panel_profiles" in data:
-        kwargs["panel_profiles"] = _parse_list(data["panel_profiles"],
-                                               PanelProfile, "panel profile")
-    for key in ("trials", "seed", "passes"):
-        if key in data:
-            kwargs[key] = _coerce_int(data[key], key)
-    if "rho" in data:
-        kwargs["rho"] = _coerce_float(data["rho"], "rho")
-    spec = SweepSpec(**kwargs)
-    spec.validate()
-    return spec
+def _read_values(value, key: str) -> tuple:
+    return tuple(_coerce_int(v, key) for v in _entries(value, key))
+
+
+def _read_member(enum_cls, value, key: str):
+    try:
+        return enum_cls(str(value).lower())
+    except ValueError as exc:
+        names = ", ".join(m.value for m in enum_cls)
+        raise ConfigError(
+            f"config key {key} takes {names}, got {value!r}") from exc
+
+
+def _read_members(enum_cls, value, key: str) -> tuple:
+    """Distinct members in first-seen order; may be empty (see ``validate``)."""
+    return tuple(dict.fromkeys(_read_member(enum_cls, v, key)
+                               for v in _entries(value, key)))
+
+
+#: The one reader of each config key, for flags and config files alike:
+#: ``reader(value, key)`` returns the field value or raises ConfigError
+#: naming the key. Every key not listed is a float.
+_READERS = {
+    "users_k": _coerce_int,
+    "trials": _coerce_int,
+    "seed": _coerce_int,
+    "passes": _coerce_int,
+    "values": _read_values,
+    "axis": partial(_read_member, SweepAxis),
+    "algorithms": partial(_read_members, Algorithm),
+    "panel_profiles": partial(_read_members, PanelProfile),
+}
+
+
+def _from_mapping(cls, data: dict):
+    """A validated ``cls`` from the keys of ``data`` that name its fields."""
+    names = {f.name for f in fields(cls)}
+    obj = cls(**{k: _READERS.get(k, _coerce_float)(v, k)
+                 for k, v in data.items() if k in names})
+    obj.validate()
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +472,18 @@ def resolve_config(path, flags: dict):
     data.update((k, v) for k, v in flags.items() if v is not None)
     if rhos:
         data["rho"] = data["snr_rho"] = rhos.pop()
-    return scenario_config_from_mapping(data), sweep_spec_from_mapping(data)
+    return _from_mapping(ScenarioConfig, data), _from_mapping(SweepSpec, data)
 
 
 def _cmd_sweep(args) -> int:
-    values = None
-    if args.values is not None:
-        try:
-            values = [int(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError("--values must be a comma list of integers") from exc
     cfg, spec = resolve_config(args.config, {
         "axis": args.axis, "algorithms": args.algos,
-        "panel_profiles": args.profiles, "values": values,
+        "panel_profiles": args.profiles, "values": args.values,
         "trials": args.trials, "seed": args.seed, "rho": args.rho,
         "passes": args.passes})
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"output directory {out_dir} does not exist")
     rows = run_sweep(spec, cfg)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,11 @@ class TestRunTrial:
         scenario = build_scenario(cfg, large.antennas_per_panel)
         with pytest.raises(ConfigError):
             cli.run_trial(scenario, cfg, Algorithm.IIC, 401, 42, 0)
+
+    def test_trial_channel_rejects_negative_index(self):
+        cfg = tiny_cfg()
+        with pytest.raises(ConfigError, match="trial index"):
+            cli.trial_channel(build_scenario(cfg, 16), cfg, 42, -1)
 
 
 class TestRunSweep:
@@ -221,16 +226,18 @@ class TestEmitCsv:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def write_config(tmp_path, **payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
 class TestConfigIngestion:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        payload = dict(TINY_SCENARIO, seed=9, trials=2, axis="np",
-                       values=[1, 2], algorithms="iic",
-                       panel_profiles=["small"], rho=2.0)
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        data = cli.load_config_file(path)
-        cfg = cli.scenario_config_from_mapping(data)
-        spec = cli.sweep_spec_from_mapping(data)
+        path = write_config(tmp_path, **TINY_SCENARIO, seed=9, trials=2,
+                            axis="np", values=[1, 2], algorithms="iic",
+                            panel_profiles=["small"], rho=2.0)
+        cfg, spec = cli.resolve_config(path, {})
         assert cfg.users_k == 4 and spec.seed == 9
         assert spec.trials == 2 and spec.rho == 2.0
         assert spec.algorithms == (Algorithm.IIC,)
@@ -253,18 +260,18 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError):
             cli.load_config_file(tmp_path / "missing.json")
 
-    def test_bad_axis_rejected(self):
+    def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.sweep_spec_from_mapping({"axis": "sideways"})
+            cli.resolve_config(write_config(tmp_path, axis="sideways"), {})
 
-    def test_non_integer_values_rejected(self):
+    def test_non_integer_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.sweep_spec_from_mapping({"values": [1.5]})
+            cli.resolve_config(write_config(tmp_path, values=[1.5]), {})
 
-    def test_repeated_values_rejected(self):
+    def test_repeated_values_rejected(self, tmp_path):
         # a repeated value would feed one cell twice and double its samples
         with pytest.raises(ConfigError):
-            cli.sweep_spec_from_mapping({"values": [4, 4]})
+            cli.resolve_config(write_config(tmp_path, values=[4, 4]), {})
 
     @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
     def test_non_finite_rho_rejected(self, rho):
@@ -281,30 +288,67 @@ class TestConfigIngestion:
                 ScenarioConfig(**{name: value}).validate()
 
 
+#: A valid non-default config-file value of every field but panel_side_m,
+#: and the value the field resolves to. The float fields are given as JSON
+#: integers, so the test also sees them converted.
+NON_DEFAULT_VALUES = {
+    "lis_width_m": (8, 8.0),
+    "lis_height_m": (2, 2.0),
+    "room_width_m": (20, 20.0),
+    "room_height_m": (2.5, 2.5),
+    "room_depth_m": (20, 20.0),
+    "users_k": (8, 8),
+    "wavelength_m": (0.1, 0.1),
+    "snr_rho": (2, 2.0),
+    "min_user_depth_m": (1, 1.0),
+    "axis": ("n", SweepAxis.TOTAL_N),
+    "values": ([4, 2], (4, 2)),
+    "algorithms": ("rmf,rmf", (Algorithm.RMF,)),
+    "panel_profiles": (["large"], (PanelProfile.LARGE,)),
+    "trials": (5, 5),
+    "seed": (7.0, 7),
+    "rho": (3, 3.0),
+    "passes": (2, 2),
+}
+
+CONFIG_FIELDS = sorted(({f.name for f in fields(ScenarioConfig)}
+                        | {f.name for f in fields(SweepSpec)})
+                       - {"panel_side_m"})
+
+
 class TestResolveConfig:
-    def _write(self, tmp_path, **payload):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return str(path)
+    @pytest.mark.parametrize("key", CONFIG_FIELDS)
+    def test_every_key_reads_to_its_field_type(self, tmp_path, key):
+        # a field added without a reader fails here: the float default
+        # would turn an int or an enum into the wrong type
+        raw, want = NON_DEFAULT_VALUES[key]
+        path = write_config(tmp_path, **{key: raw})
+        cfg, spec = cli.resolve_config(path, {})
+        owner = spec if hasattr(spec, key) else cfg
+        got, default = getattr(owner, key), getattr(type(owner)(), key)
+        assert got == want != default
+        assert type(got) is (tuple if default is None else type(default))
+        if isinstance(got, tuple):
+            assert [type(v) for v in got] == [type(v) for v in want]
 
     @pytest.mark.parametrize("key", ["rho", "snr_rho"])
     def test_either_key_sets_both(self, tmp_path, key):
-        cfg, spec = cli.resolve_config(self._write(tmp_path, **{key: 4.0}),
-                                       {})
+        path = write_config(tmp_path, **{key: 4.0})
+        cfg, spec = cli.resolve_config(path, {})
         assert cfg.snr_rho == spec.rho == 4.0
 
     def test_agreeing_keys_accepted(self, tmp_path):
-        path = self._write(tmp_path, rho=0.5, snr_rho=0.5)
+        path = write_config(tmp_path, rho=0.5, snr_rho=0.5)
         cfg, spec = cli.resolve_config(path, {})
         assert cfg.snr_rho == spec.rho == 0.5
 
     def test_disagreeing_keys_rejected(self, tmp_path):
-        path = self._write(tmp_path, rho=0.25, snr_rho=4.0)
+        path = write_config(tmp_path, rho=0.25, snr_rho=4.0)
         with pytest.raises(ConfigError):
             cli.resolve_config(path, {"rho": 2.0})
 
     def test_flag_overrides_both_keys(self, tmp_path):
-        path = self._write(tmp_path, snr_rho=4.0, seed=3, passes=2)
+        path = write_config(tmp_path, snr_rho=4.0, seed=3, passes=2)
         cfg, spec = cli.resolve_config(path, {"rho": 2.0, "seed": None,
                                               "passes": 3})
         assert cfg.snr_rho == spec.rho == 2.0
@@ -408,13 +452,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("panel_side_m is set by the panel profile") == 2
 
-    def test_unwritable_output_exits_4(self, tmp_path):
+    def test_unwritable_output_exits_4(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "trial_channel",
+                            lambda *args: calls.append(args))
         out = tmp_path / "no" / "such" / "dir" / "rows.csv"
         code = cli.main(["sweep", "--config", str(cfg), "--trials", "1",
                          "--values", "1", "--profiles", "small",
                          "--algos", "rmf", "--out", str(out)])
         assert code == 4
+        assert calls == []  # checked before the first trial
+        assert not out.parent.exists()
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
@@ -507,6 +556,36 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        '{"trials": "x"}', '{"values": ["a"]}', '{"trials": null}',
+        '{"users_k": [3]}', '{"algorithms": 5}', '{"seed": 1e400}',
+        '{"rho": true}', '{"wavelength_m": "0.1"}'])
+    @pytest.mark.parametrize("command", ["sweep", "trial"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, command,
+                                     payload):
+        (key,) = json.loads(payload)
+        path = tmp_path / "cfg.json"
+        path.write_text(payload, encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        argv = (["sweep", "--config", str(path), "--out", str(out)]
+                if command == "sweep" else
+                ["trial", "--config", str(path), "--algo", "iic", "--np", "1"])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("config error: ") and key in line
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_negative_trial_index_exits_2(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli.main(["trial", "--config", str(cfg), "--algo", "iic",
+                         "--np", "1", "--trial-index", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: trial index")
 
     def test_module_entry_point_runs_without_warnings(self):
         # runpy warns when importing the package has already imported cli
