@@ -15,10 +15,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical domain error,
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,58 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
     return result.report, result.traffic
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _trial_values(scenario, cfg, seed, cells, rho, passes, indices):
+    """(rate, ceiling, chain scalars) of every cell, for each trial index."""
+    values = []
+    for t in indices:
+        chan = trial_channel(scenario, cfg, seed, t)
+        values.append([(r.report.sum_rate_bits,
+                        r.report.channel_capacity_bits,
+                        r.traffic.chain_complex_scalars)
+                       for r in _run_cells(chan.blocks, cells, rho, passes)])
+    return values
+
+
+def _run_trials(scenario, cfg, seed, cells, rho, passes, trials):
+    """``_trial_values`` of trials ``0 .. trials - 1``, in trial order.
+
+    With two or more trials, two or more usable CPUs and the ``fork``
+    start method, the trial indices are split into one contiguous chunk
+    per worker: forked processes run every chunk but the first, which
+    this process runs meanwhile, and the chunks are joined in order.
+    Forking shares the imported modules: a spawned worker would first
+    import numpy and lisim, which takes longer than three large-profile
+    trials. Only the values cross the process boundary, and a worker's
+    exception is raised here with its type and message; a worker killed
+    from outside raises ``BrokenProcessPool`` rather than leaving the
+    sweep waiting. Otherwise, a one-trial call above all, the trials run
+    here and no process is started.
+    """
+    run = partial(_trial_values, scenario, cfg, seed, cells, rho, passes)
+    workers = min(trials, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return run(range(trials))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    chunks = [range(trials * i // workers, trials * (i + 1) // workers)
+              for i in range(workers)]
+    with ProcessPoolExecutor(
+            workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        pending = [pool.submit(run, chunk) for chunk in chunks[1:]]
+        values = run(chunks[0])
+        for chunk in pending:
+            values += chunk.result()
+    return values
+
+
 def _resolve_values(spec: SweepSpec, profile: PanelProfile,
                     p_count: int, mp: int):
     """Per-profile (np, n_total) pairs for the sweep axis, validated."""
@@ -227,11 +280,12 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
 
     Each trial reuses one channel realization for every algorithm and
     axis value: the ``trial_channel`` that ``run_trial`` uses for the
-    same (seed, trial index). Trials use independent generator
-    streams and could run in parallel; this driver keeps a fixed
-    sequential order so the aggregates (and the CSV written from them)
-    are reproducible byte for byte. Rows are ordered by profile, then
-    algorithm, then axis value.
+    same (seed, trial index). Trials use independent generator streams,
+    so a sweep of two or more trials runs them on every usable CPU (see
+    ``_run_trials``); the per-trial values come back in trial order and
+    are aggregated as a one-process run would, so the rows (and the CSV
+    written from them) are the same byte for byte on one CPU or many.
+    Rows are ordered by profile, then algorithm, then axis value.
 
     Each trial's blocks are factored once and every cell shares the
     factors (see ``_run_cells``). A cell's rate in one trial is therefore
@@ -259,36 +313,26 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
 
     rows = []
     for profile, pcfg, scenario, pairs in plans:
-        cells = {(algo, pair): {"rates": [], "caps": [], "chain": 0}
-                 for algo in spec.algorithms for pair in pairs}
-        keys = [(algo, np_outputs) for algo, (np_outputs, _) in cells]
-        for t in range(spec.trials):
-            chan = trial_channel(scenario, pcfg, spec.seed, t)
-            for cell, result in zip(cells.values(), _run_cells(
-                    chan.blocks, keys, spec.rho, spec.passes)):
-                cell["rates"].append(result.report.sum_rate_bits)
-                cell["caps"].append(result.report.channel_capacity_bits)
-                cell["chain"] = result.traffic.chain_complex_scalars
-
-        for algo in spec.algorithms:
-            for pair in pairs:
-                np_outputs, n_total = pair
-                cell = cells[(algo, pair)]
-                rates = np.asarray(cell["rates"])
-                std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
-                rows.append(SweepRow(
-                    profile=profile.value,
-                    algorithm=algo.value,
-                    np=np_outputs,
-                    n_total=n_total,
-                    rho=spec.rho,
-                    trials=spec.trials,
-                    mean_sum_rate_bits=float(np.mean(rates)),
-                    std_sum_rate_bits=std,
-                    mean_channel_capacity_bits=float(np.mean(cell["caps"])),
-                    chain_scalars=cell["chain"],
-                    seed=spec.seed,
-                ))
+        cells = [(algo, pair) for algo in spec.algorithms for pair in pairs]
+        values = _run_trials(scenario, pcfg, spec.seed,
+                             [(algo, np_outputs) for algo, (np_outputs, _)
+                              in cells], spec.rho, spec.passes, spec.trials)
+        for (algo, (np_outputs, n_total)), cell in zip(cells, zip(*values)):
+            rates, caps, chains = zip(*cell)
+            std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
+            rows.append(SweepRow(
+                profile=profile.value,
+                algorithm=algo.value,
+                np=np_outputs,
+                n_total=n_total,
+                rho=spec.rho,
+                trials=spec.trials,
+                mean_sum_rate_bits=float(np.mean(rates)),
+                std_sum_rate_bits=std,
+                mean_channel_capacity_bits=float(np.mean(caps)),
+                chain_scalars=chains[-1],
+                seed=spec.seed,
+            ))
     return rows
 
 
@@ -526,9 +570,14 @@ def _cmd_trial(args) -> int:
     return 0
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

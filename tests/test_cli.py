@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -198,6 +200,99 @@ class TestLargeProfileSweep:
         self._assert_matches_raw_blocks(SweepSpec(
             axis=SweepAxis.TOTAL_N, values=(250, 500, 2000),
             panel_profiles=(PanelProfile.LARGE,), trials=1, passes=2))
+
+
+def failing_channel(error, at_trial):
+    """``cli.trial_channel`` that raises ``error`` at one trial index."""
+    real = cli.trial_channel
+
+    def channel(scenario, cfg, seed, trial_index):
+        if trial_index == at_trial:
+            raise error(f"boom at trial {trial_index}")
+        return real(scenario, cfg, seed, trial_index)
+
+    return channel
+
+
+class TestParallelTrials:
+    """A sweep of two or more trials runs them on every usable CPU.
+
+    The CPU lookup is forced, so the forked path runs on any host.
+    """
+
+    LARGE_RMF = SweepSpec(values=(1,), algorithms=(Algorithm.RMF,),
+                          panel_profiles=(PanelProfile.LARGE,), trials=4)
+
+    @pytest.mark.parametrize("error, code", [(NumericalDomainError, 3),
+                                             (ConfigError, 2)])
+    def test_worker_error_keeps_type_message_and_exit_code(
+            self, tmp_path, capsys, monkeypatch, error, code):
+        # two CPUs: trials 2 and 3 run in the forked worker
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "trial_channel", failing_channel(error, 3))
+        with pytest.raises(error) as exc:
+            cli.run_sweep(self.LARGE_RMF)
+        assert type(exc.value) is error
+        assert str(exc.value) == "boom at trial 3"
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--profiles", "large", "--trials", "4",
+                         "--values", "1", "--algos", "rmf",
+                         "--out", str(out)]) == code
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(": boom at trial 3\n")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(values=(1, 16), panel_profiles=(PanelProfile.SMALL,),
+                  trials=3),
+        SweepSpec(values=(4, 20), panel_profiles=(PanelProfile.LARGE,),
+                  trials=5, passes=2, rho=3.7),
+        SweepSpec(axis=SweepAxis.TOTAL_N, values=(250, 500), trials=3,
+                  algorithms=(Algorithm.IIC,), seed=11),
+    ], ids=["small", "large-passes-2", "n-axis"])
+    def test_same_rows_on_one_cpu_or_many(self, monkeypatch, spec, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        one = cli.run_sweep(spec)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli.run_sweep(spec) == one
+
+    def test_trial_values_come_back_in_trial_order(self, monkeypatch):
+        cfg = tiny_cfg()
+        scenario = build_scenario(cfg, 16)
+        cells = [(Algorithm.IIC, 2), (Algorithm.RMF, 1)]
+        args = (scenario, cfg, 7, cells, 1.0, 2)
+        want = [cli._trial_values(*args, [t])[0] for t in range(5)]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        assert cli._run_trials(*args, 5) == want
+
+    def test_killed_worker_raises_instead_of_waiting(self, monkeypatch):
+        real = cli.trial_channel
+
+        def channel(scenario, cfg, seed, trial_index):
+            if trial_index == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(scenario, cfg, seed, trial_index)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "trial_channel", channel)
+        with pytest.raises(BrokenProcessPool):
+            cli.run_sweep(self.LARGE_RMF)
+
+    def test_one_trial_never_creates_a_context(self, monkeypatch, capsys):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("multiprocessing context created")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        rows = cli.run_sweep(replace(self.LARGE_RMF, trials=1))
+        assert rows[0].trials == 1
+        assert cli.main(["trial", "--profile", "large", "--algo", "rmf",
+                         "--np", "1"]) == 0
+        assert "sum_rate_bits=" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="context created"):
+            cli.run_sweep(replace(self.LARGE_RMF, trials=2))
 
 
 class TestEmitCsv:
@@ -598,6 +693,29 @@ class TestMain:
             text=True, timeout=120, check=False)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+    def test_consecutive_calls_match_a_fresh_process(self, capsys):
+        # main parses with one parser per process; a call must not see
+        # the flags or the failure of an earlier one
+        first = ["trial", "--profile", "large", "--algo", "iic", "--np", "4",
+                 "--passes", "2", "--trial-index", "3", "--rho", "2.5"]
+        last = ["trial", "--profile", "large", "--algo", "rmf", "--np", "2"]
+        assert cli.main(first) == 0
+        assert "passes=2" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trial", "--algo", "nope", "--np", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(last) == 0
+        reused = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lisim.cli", *last],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120, check=True)
+        assert reused == fresh.stdout
+        assert "trial_index=0" in reused and "rho=1" in reused
 
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
