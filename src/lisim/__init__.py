@@ -14,7 +14,7 @@ from .capacity import (CapacityReport, chain_capacity_trace, channel_capacity,
                        sum_rate_full, sum_rate_panelized)
 from .chain import (Algorithm, ChainResult, TrafficReport, run_centralized,
                     run_iic_chain, run_rmf)
-from .channel import (ChannelRealization, Scenario, ScenarioConfig, UserSet,
+from .channel import (ChannelRealization, Scenario, ScenarioConfig,
                       build_scenario, los_gain, realize_channel, sample_users)
 from .equalizers import (ChainMessage, EqualizerKind, EqualizerSet,
                          PanelEqualizer, iic_local_step, rmf_filter,
@@ -31,7 +31,7 @@ __all__ = [
     "ChannelRealization", "ConfigError", "DegenerateChannelError",
     "EigDecomp", "EqualizerKind", "EqualizerSet", "LisimError",
     "NumericalDomainError", "PanelEqualizer", "Scenario",
-    "ScenarioConfig", "SvdDecomp", "TrafficReport", "UserSet",
+    "ScenarioConfig", "SvdDecomp", "TrafficReport",
     "build_scenario", "chain_capacity_trace", "channel_capacity",
     "hermitian_eig", "iic_local_step", "logdet2_hpd", "los_gain",
     "orthonormal_range", "realize_channel", "rmf_filter",

@@ -53,7 +53,7 @@ class ChainResult:
     passes_executed: int
 
 
-def _validate_blocks(blocks, np_outputs: int):
+def _validate_blocks(blocks, np_outputs: int, rho: float):
     if not blocks:
         raise ConfigError("at least one channel block is required")
     blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
@@ -64,6 +64,8 @@ def _validate_blocks(blocks, np_outputs: int):
         raise ConfigError("np_outputs must be at least 1")
     if np_outputs > min(b.shape[0] for b in blocks):
         raise ConfigError("np_outputs cannot exceed the panel antenna count")
+    if rho <= 0.0:
+        raise ConfigError("rho must be positive")
     return blocks, k
 
 
@@ -106,11 +108,9 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     passes : int
         Number of sweeps over the chain, at least 1.
     """
-    blocks, k = _validate_blocks(blocks, np_outputs)
+    blocks, k = _validate_blocks(blocks, np_outputs, rho)
     if passes < 1:
         raise ConfigError("passes must be at least 1")
-    if rho <= 0.0:
-        raise ConfigError("rho must be positive")
 
     msg = ChainMessage.initial(k)
     filters = [None] * len(blocks)
@@ -147,9 +147,7 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
     filter construction itself does not depend on the SNR; ``rho`` only
     enters the returned capacity report.
     """
-    blocks, k = _validate_blocks(blocks, np_outputs)
-    if rho <= 0.0:
-        raise ConfigError("rho must be positive")
+    blocks, k = _validate_blocks(blocks, np_outputs, rho)
     eq_set = EqualizerSet(per_panel=tuple(
         rmf_filter(h, np_outputs) for h in blocks))
     report = _build_report(

@@ -90,17 +90,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class UserSet:
-    """User positions, one (x, y, z) row per user."""
-
-    positions: np.ndarray
-
-    @property
-    def users_k(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """Per-panel Mp x K channel blocks in chain order.
 
@@ -155,12 +144,12 @@ def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
 
 
 def sample_users(scenario: Scenario, cfg: ScenarioConfig,
-                 rng: np.random.Generator) -> UserSet:
+                 rng: np.random.Generator) -> np.ndarray:
     """Draw K user positions i.i.d. uniform over the room box.
 
-    The depth coordinate is clipped away from the surface by sampling it
-    uniformly on [min_user_depth_m, room_depth_m]; the gain model diverges
-    at z = 0.
+    Returns the K x 3 positions, one (x, y, z) row per user. The depth
+    coordinate is clipped away from the surface by sampling it uniformly
+    on [min_user_depth_m, room_depth_m]; the gain model diverges at z = 0.
     """
     raw = rng.random((cfg.users_k, 3))
     positions = np.empty_like(raw)
@@ -168,7 +157,7 @@ def sample_users(scenario: Scenario, cfg: ScenarioConfig,
     positions[:, 1] = raw[:, 1] * cfg.room_height_m
     positions[:, 2] = cfg.min_user_depth_m + raw[:, 2] * (
         cfg.room_depth_m - cfg.min_user_depth_m)
-    return UserSet(positions=positions)
+    return positions
 
 
 def los_gain(user, antenna, wavelength_m: float):
@@ -200,21 +189,22 @@ def los_gain(user, antenna, wavelength_m: float):
     return amplitude * np.exp(-2j * np.pi * d / wavelength_m)
 
 
-def realize_channel(scenario: Scenario, users: UserSet,
+def realize_channel(scenario: Scenario, users: np.ndarray,
                     wavelength_m: float) -> ChannelRealization:
     """Generate all panel blocks and normalize the stacked channel.
 
+    ``users`` holds the K x 3 user positions, as ``sample_users`` returns.
     A single scale c = sqrt(M K) / ||H_raw||_F is applied to every block
     so the stacked Frobenius norm squared equals M * K exactly.
     """
-    stacked = los_gain(users.positions[None, :, :],
+    stacked = los_gain(users[None, :, :],
                        scenario.antenna_positions[:, None, :], wavelength_m)
     p = scenario.p_count
     # summed block by block: one sum over all M rows rounds differently
-    block_powers = np.sum(np.abs(stacked.reshape(p, -1, users.users_k)) ** 2,
+    block_powers = np.sum(np.abs(stacked.reshape(p, -1, users.shape[0])) ** 2,
                           axis=(1, 2))
     power = sum(block_powers.tolist())
     if power <= 0.0:
         raise DegenerateChannelError("raw channel is identically zero")
-    scale = math.sqrt(stacked.shape[0] * users.users_k / power)
+    scale = math.sqrt(stacked.size / power)
     return ChannelRealization(blocks=tuple(np.split(scale * stacked, p)))

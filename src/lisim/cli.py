@@ -32,7 +32,7 @@ from .errors import ConfigError, NumericalDomainError
 
 
 class PanelProfile(Enum):
-    """Panel geometry presets: side length and antennas per panel."""
+    """Panel geometry presets: side length, antennas per panel, np grid."""
 
     SMALL = "small"
     LARGE = "large"
@@ -46,9 +46,11 @@ class PanelProfile(Enum):
         return _PROFILE_GEOMETRY[self][1]
 
 
+#: (side, Mp, default per-panel output counts) of each profile. Twenty
+#: users cap the useful width, so the large profile's grid stops at 20.
 _PROFILE_GEOMETRY = {
-    PanelProfile.SMALL: (0.2, 16),
-    PanelProfile.LARGE: (1.0, 400),
+    PanelProfile.SMALL: (0.2, 16, (1, 2, 4, 8, 12, 16)),
+    PanelProfile.LARGE: (1.0, 400, (1, 2, 4, 8, 12, 16, 20)),
 }
 
 
@@ -57,22 +59,14 @@ class SweepAxis(Enum):
     TOTAL_N = "n"
 
 
-#: Default per-panel output counts swept for each profile. Twenty users
-#: cap the useful width, so the large profile stops at 20.
-DEFAULT_NP_VALUES = {
-    PanelProfile.SMALL: (1, 2, 4, 8, 12, 16),
-    PanelProfile.LARGE: (1, 2, 4, 8, 12, 16, 20),
-}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep request: axis, grid values, algorithms, and run budget.
 
     ``values`` left as None selects the per-profile defaults: the
-    ``DEFAULT_NP_VALUES`` grid on the per-panel axis, and the same grid
-    multiplied by the panel count on the total-outputs axis. Given values
-    must be distinct: each names one output row.
+    profile's np grid (``_PROFILE_GEOMETRY``) on the per-panel axis, and
+    the same grid multiplied by the panel count on the total-outputs
+    axis. Given values must be distinct: each names one output row.
     """
 
     axis: SweepAxis = SweepAxis.NP_PER_PANEL
@@ -154,7 +148,8 @@ def _run_cells(blocks, cells, rho: float, passes: int):
     than the factor has. IIC's ``backplane_scalars_per_use`` still counts
     the requested np, as on the raw blocks: every panel drives np outputs
     and the ones beyond its filter's width carry zeros. Short blocks
-    (Mp <= K) run as they are. RMF makes a single pass.
+    (Mp <= K) run as they are. RMF makes a single pass. This is the one
+    runtime check of np: it must lie between 1 and Mp.
 
     Yields one ChainResult per cell, in order, so that a caller holds one
     cell's filters at a time.
@@ -163,8 +158,9 @@ def _run_cells(blocks, cells, rho: float, passes: int):
     factors = [numerics.user_side_factor(h) for h in blocks]
     factor_rows = factors[0].shape[0]
     for algorithm, np_outputs in cells:
-        if np_outputs > mp:
-            raise ConfigError("np_outputs cannot exceed the panel antenna count")
+        if not 1 <= np_outputs <= mp:
+            raise ConfigError(f"np must be between 1 and the {mp} antennas "
+                              f"per panel, got {np_outputs}")
         width = min(np_outputs, factor_rows)
         if algorithm is Algorithm.IIC:
             result = run_iic_chain(factors, rho, width, passes)
@@ -183,14 +179,15 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
 
     Runs the decentralized algorithm on the factored blocks of
     ``trial_channel``, as ``run_sweep`` does (see ``_run_cells``), and
-    returns the capacity and traffic reports. The rates are those of the
-    raw blocks up to rounding, and the traffic report is theirs exactly.
+    returns its ChainResult. The rates are those of the raw blocks up to
+    rounding, and the traffic report is theirs exactly. RMF ignores
+    ``passes``, and ``passes_executed`` reports the passes run.
     Fully deterministic given (config, seed, trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
     (result,) = _run_cells(chan.blocks, [(Algorithm(algorithm), np_outputs)],
                            cfg.snr_rho, passes)
-    return result.report, result.traffic
+    return result
 
 
 def _usable_cpus() -> int:
@@ -201,19 +198,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _trial_values(scenario, cfg, seed, cells, rho, passes, indices):
-    """(rate, ceiling, chain scalars) of every cell, for each trial index."""
+def _trial_values(scenario, cfg, seed, cells, passes, indices):
+    """(rate, ceiling, chain scalars) of every cell, for each trial index.
+
+    The SNR is ``cfg.snr_rho``, as in ``run_trial``.
+    """
     values = []
     for t in indices:
         chan = trial_channel(scenario, cfg, seed, t)
         values.append([(r.report.sum_rate_bits,
                         r.report.channel_capacity_bits,
                         r.traffic.chain_complex_scalars)
-                       for r in _run_cells(chan.blocks, cells, rho, passes)])
+                       for r in _run_cells(chan.blocks, cells, cfg.snr_rho,
+                                           passes)])
     return values
 
 
-def _run_trials(scenario, cfg, seed, cells, rho, passes, trials):
+def _run_trials(scenario, cfg, seed, cells, passes, trials):
     """``_trial_values`` of trials ``0 .. trials - 1``, in trial order.
 
     With two or more trials, two or more usable CPUs and the ``fork``
@@ -228,7 +229,7 @@ def _run_trials(scenario, cfg, seed, cells, rho, passes, trials):
     sweep waiting. Otherwise, a one-trial call above all, the trials run
     here and no process is started.
     """
-    run = partial(_trial_values, scenario, cfg, seed, cells, rho, passes)
+    run = partial(_trial_values, scenario, cfg, seed, cells, passes)
     workers = min(trials, _usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return run(range(trials))
@@ -251,9 +252,9 @@ def _resolve_values(spec: SweepSpec, profile: PanelProfile,
     if spec.values is not None:
         values = tuple(int(v) for v in spec.values)
     elif spec.axis is SweepAxis.NP_PER_PANEL:
-        values = DEFAULT_NP_VALUES[profile]
+        values = _PROFILE_GEOMETRY[profile][2]
     else:
-        values = tuple(v * p_count for v in DEFAULT_NP_VALUES[profile])
+        values = tuple(v * p_count for v in _PROFILE_GEOMETRY[profile][2])
 
     pairs = []
     for v in values:
@@ -265,8 +266,6 @@ def _resolve_values(spec: SweepSpec, profile: PanelProfile,
                     f"total output count {v} is not divisible by the "
                     f"{profile.value}-profile panel count {p_count}")
             np_outputs, n_total = v // p_count, v
-        if np_outputs < 1:
-            raise ConfigError(f"axis value {v} yields zero outputs per panel")
         if np_outputs > mp:
             raise ConfigError(
                 f"axis value {v} needs {np_outputs} outputs per panel but the "
@@ -316,7 +315,7 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
         cells = [(algo, pair) for algo in spec.algorithms for pair in pairs]
         values = _run_trials(scenario, pcfg, spec.seed,
                              [(algo, np_outputs) for algo, (np_outputs, _)
-                              in cells], spec.rho, spec.passes, spec.trials)
+                              in cells], spec.passes, spec.trials)
         for (algo, (np_outputs, n_total)), cell in zip(cells, zip(*values)):
             rates, caps, chains = zip(*cell)
             std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
@@ -460,7 +459,9 @@ def _from_mapping(cls, data: dict):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lisim",
         description="Uplink sum-rate simulator for panelized antenna surfaces")
@@ -470,8 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="JSON config file")
     sweep.add_argument("--axis", choices=[a.value for a in SweepAxis],
                        help="sweep per-panel outputs (np) or total outputs (n)")
-    sweep.add_argument("--algos", help="comma list from: iic,rmf")
-    sweep.add_argument("--profiles", help="comma list from: small,large")
+    sweep.add_argument("--algos", dest="algorithms",
+                       help="comma list from: iic,rmf")
+    sweep.add_argument("--profiles", dest="panel_profiles",
+                       help="comma list from: small,large")
     sweep.add_argument("--values", help="comma list of axis values")
     sweep.add_argument("--trials", type=int, help="trials per row")
     sweep.add_argument("--seed", type=int, help="base seed")
@@ -499,11 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(path, flags: dict):
     """Defaults < config file < flags, resolved once for every subcommand.
 
-    ``flags`` maps config keys to command-line values, None where a flag
-    was left out. The SNR is one knob that a config file may name ``rho``
-    or ``snr_rho``; giving both with different values is an error, and
-    ``--rho`` overrides either. The resolved value becomes both
-    ``SweepSpec.rho`` and ``ScenarioConfig.snr_rho``.
+    ``flags`` maps names to command-line values, None where a flag was
+    left out; names that are not config keys are ignored. The SNR is one
+    knob that a config file may name ``rho`` or ``snr_rho``; giving both
+    with different values is an error, and ``--rho`` overrides either.
+    The resolved value becomes both ``SweepSpec.rho`` and
+    ``ScenarioConfig.snr_rho``.
 
     Returns the validated (ScenarioConfig, SweepSpec) pair.
     """
@@ -520,14 +524,13 @@ def resolve_config(path, flags: dict):
 
 
 def _cmd_sweep(args) -> int:
-    cfg, spec = resolve_config(args.config, {
-        "axis": args.axis, "algorithms": args.algos,
-        "panel_profiles": args.profiles, "values": args.values,
-        "trials": args.trials, "seed": args.seed, "rho": args.rho,
-        "passes": args.passes})
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"output directory {out_dir} does not exist")
+    cfg, spec = resolve_config(args.config, vars(args))
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(
+            f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise IsADirectoryError(f"output path {out} is a directory")
     rows = run_sweep(spec, cfg)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -535,29 +538,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trial(args) -> int:
-    cfg, spec = resolve_config(args.config, {
-        "seed": args.seed, "rho": args.rho, "passes": args.passes})
+    cfg, spec = resolve_config(args.config, vars(args))
     profile = (PanelProfile(args.profile) if args.profile is not None
                else spec.panel_profiles[0])
     cfg = replace(cfg, panel_side_m=profile.panel_side_m)
     scenario = build_scenario(cfg, profile.antennas_per_panel)
-    if args.np_outputs < 1 or args.np_outputs > scenario.antennas_per_panel:
-        raise ConfigError(
-            f"--np must be between 1 and {scenario.antennas_per_panel} "
-            f"for the {profile.value} profile")
-    algorithm = Algorithm(args.algo)
-    passes = spec.passes if algorithm is Algorithm.IIC else 1
-    report, traffic = run_trial(scenario, cfg, algorithm, args.np_outputs,
-                                spec.seed, args.trial_index, passes)
+    result = run_trial(scenario, cfg, args.algo, args.np_outputs, spec.seed,
+                       args.trial_index, spec.passes)
+    report, traffic = result.report, result.traffic
     items = [
         ("profile", profile.value),
-        ("algorithm", algorithm.value),
+        ("algorithm", args.algo),
         ("np", args.np_outputs),
         ("n_total", args.np_outputs * scenario.p_count),
         ("rho", _fmt(cfg.snr_rho)),
         ("seed", spec.seed),
         ("trial_index", args.trial_index),
-        ("passes", passes),
+        ("passes", result.passes_executed),
         ("sum_rate_bits", _fmt(report.sum_rate_bits)),
         ("channel_capacity_bits", _fmt(report.channel_capacity_bits)),
         ("chain_complex_scalars", traffic.chain_complex_scalars),
@@ -570,14 +567,8 @@ def _cmd_trial(args) -> int:
     return 0
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -103,19 +103,19 @@ class TestSampleUsers:
         sc = channel.build_scenario(cfg, 16)
         a = channel.sample_users(sc, cfg, np.random.default_rng(7))
         b = channel.sample_users(sc, cfg, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a, b)
 
     def test_depth_floor_enforced(self, cfg):
         sc = channel.build_scenario(cfg, 16)
         users = channel.sample_users(sc, replace(cfg, users_k=2000),
                                      np.random.default_rng(3))
-        assert users.positions[:, 2].min() >= cfg.min_user_depth_m
+        assert users.shape == (2000, 3)
+        assert users[:, 2].min() >= cfg.min_user_depth_m
 
     def test_uniform_moments(self, cfg):
         sc = channel.build_scenario(cfg, 16)
         big = replace(cfg, users_k=10_000)
-        users = channel.sample_users(sc, big, np.random.default_rng(11))
-        pos = users.positions
+        pos = channel.sample_users(sc, big, np.random.default_rng(11))
         lows = np.array([-cfg.room_width_m / 2, 0.0, cfg.min_user_depth_m])
         highs = np.array([cfg.room_width_m / 2, cfg.room_height_m,
                           cfg.room_depth_m])
@@ -152,7 +152,7 @@ class TestLosGain:
 
 def _panel_block(antennas, users, wavelength_m):
     """Unnormalized Mp x K block: ``los_gain`` of each antenna and user."""
-    return channel.los_gain(users.positions[None, :, :],
+    return channel.los_gain(users[None, :, :],
                             antennas[:, None, :], wavelength_m)
 
 
@@ -161,19 +161,19 @@ class TestPanelChannel:
         return np.zeros((1, 3))
 
     def test_matches_scalar_gain(self):
-        users = channel.UserSet(np.array([[0.0, 0.0, 1.0]]))
+        users = np.array([[0.0, 0.0, 1.0]])
         h = _panel_block(self._single_antenna_panel(), users, 0.05)
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(BROADSIDE_GAIN + 0.0j, rel=1e-12)
 
     def test_duplicate_users_duplicate_columns(self):
         p = self._single_antenna_panel()
-        users = channel.UserSet(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+        users = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
         h = _panel_block(p, users, 0.05)
         np.testing.assert_array_equal(h[:, 0], h[:, 1])
 
     def test_far_user_magnitude(self):
-        users = channel.UserSet(np.array([[0.0, 0.0, 1000.0]]))
+        users = np.array([[0.0, 0.0, 1000.0]])
         h = _panel_block(self._single_antenna_panel(), users, 0.05)
         assert abs(h[0, 0]) == pytest.approx(BROADSIDE_GAIN / 1000.0,
                                              rel=1e-12)
@@ -182,8 +182,8 @@ class TestPanelChannel:
         p = rng.random((4, 3)) * [1, 1, 0]
         pos = rng.random((5, 3)) + [0, 0, 1.0]
         perm = rng.permutation(5)
-        h = _panel_block(p, channel.UserSet(pos), 0.05)
-        h_perm = _panel_block(p, channel.UserSet(pos[perm]), 0.05)
+        h = _panel_block(p, pos, 0.05)
+        h_perm = _panel_block(p, pos[perm], 0.05)
         np.testing.assert_allclose(h[:, perm], h_perm, rtol=1e-12)
 
 
@@ -207,8 +207,8 @@ class TestRealizeChannel:
                        panel_side_m=1.0, users_k=1)
         sc = channel.build_scenario(tiny, 1)
         antenna = sc.antenna_positions[0]
-        users = channel.UserSet(np.array([[antenna[0], antenna[1], z]]))
-        raw = channel.los_gain(users.positions[0], antenna, z)
+        users = np.array([[antenna[0], antenna[1], z]])
+        raw = channel.los_gain(users[0], antenna, z)
         assert raw == pytest.approx(2.0 + 0.0j, rel=1e-12)
         chan = channel.realize_channel(sc, users, wavelength_m=z)
         assert chan.blocks[0][0, 0] == pytest.approx(1.0 + 0.0j, rel=1e-12)
@@ -220,12 +220,11 @@ class TestRealizeChannel:
                        panel_side_m=1.0, users_k=3)
         sc = channel.build_scenario(tiny, 4)
         rng = np.random.default_rng(9)
-        pos = channel.sample_users(sc, tiny, rng).positions
+        pos = channel.sample_users(sc, tiny, rng)
         scales = []
         for users in (pos, pos * [1, 1, 4.0]):
-            chan = channel.realize_channel(sc, channel.UserSet(users), 0.05)
-            raw = _panel_block(sc.antenna_positions, channel.UserSet(users),
-                               0.05)
+            chan = channel.realize_channel(sc, users, 0.05)
+            raw = _panel_block(sc.antenna_positions, users, 0.05)
             scale = abs(chan.blocks[0][0, 0] / raw[0, 0])
             np.testing.assert_allclose(np.vstack(chan.blocks), scale * raw,
                                        rtol=1e-12)
@@ -240,7 +239,7 @@ class TestRealizeChannel:
                        panel_side_m=1.0, users_k=1)
         sc = channel.build_scenario(tiny, 1)
         # amplitude underflows to exactly zero at this absurd range
-        users = channel.UserSet(np.array([[1e130, 1.5, 1e-300]]))
+        users = np.array([[1e130, 1.5, 1e-300]])
         with pytest.raises(DegenerateChannelError):
             channel.realize_channel(sc, users, 0.05)
 

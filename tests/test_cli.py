@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import signal
@@ -81,23 +82,23 @@ class TestRunTrial:
         scenario = build_scenario(cfg, 16)
         a = cli.run_trial(scenario, cfg, Algorithm.IIC, 2, 42, trial_index=3)
         b = cli.run_trial(scenario, cfg, Algorithm.IIC, 2, 42, trial_index=3)
-        assert a[0].sum_rate_bits == b[0].sum_rate_bits
-        np.testing.assert_array_equal(a[0].per_panel_cumulative,
-                                      b[0].per_panel_cumulative)
+        assert a.report.sum_rate_bits == b.report.sum_rate_bits
+        np.testing.assert_array_equal(a.report.per_panel_cumulative,
+                                      b.report.per_panel_cumulative)
 
     def test_trials_differ(self):
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
         a = cli.run_trial(scenario, cfg, Algorithm.RMF, 2, 42, trial_index=0)
         b = cli.run_trial(scenario, cfg, Algorithm.RMF, 2, 42, trial_index=1)
-        assert a[0].sum_rate_bits != b[0].sum_rate_bits
+        assert a.report.sum_rate_bits != b.report.sum_rate_bits
 
     @pytest.mark.parametrize("algorithm", [Algorithm.IIC, Algorithm.RMF])
     def test_full_width_filters_reach_capacity(self, algorithm):
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
-        report, _ = cli.run_trial(scenario, cfg, algorithm, 16, 42,
-                                  trial_index=0)
+        report = cli.run_trial(scenario, cfg, algorithm, 16, 42,
+                               trial_index=0).report
         assert report.sum_rate_bits == pytest.approx(
             report.channel_capacity_bits, rel=1e-6)
 
@@ -109,6 +110,13 @@ class TestRunTrial:
         scenario = build_scenario(cfg, large.antennas_per_panel)
         with pytest.raises(ConfigError):
             cli.run_trial(scenario, cfg, Algorithm.IIC, 401, 42, 0)
+
+    def test_rejects_zero_np(self):
+        cfg = tiny_cfg()
+        scenario = build_scenario(cfg, 16)
+        with pytest.raises(ConfigError, match="np must be between 1 and"):
+            cli.run_trial(scenario, cfg, Algorithm.IIC, np_outputs=0, seed=42,
+                          trial_index=0)
 
     def test_trial_channel_rejects_negative_index(self):
         cfg = tiny_cfg()
@@ -151,7 +159,7 @@ class TestRunSweep:
         rows = cli.run_sweep(spec, cfg)
         scenario = build_scenario(cfg, 16)
         reports = [cli.run_trial(scenario, cfg, Algorithm.IIC, 2, spec.seed,
-                                 t)[0] for t in range(2)]
+                                 t).report for t in range(2)]
         want = np.mean([r.sum_rate_bits for r in reports])
         assert rows[0].mean_sum_rate_bits == pytest.approx(want, rel=1e-12)
 
@@ -181,8 +189,8 @@ class TestLargeProfileSweep:
                 want = run_iic_chain(raw, spec.rho, row.np, spec.passes)
             else:
                 want = run_rmf(raw, row.np, spec.rho)
-            report, _ = cli.run_trial(scenario, cfg, algorithm, row.np,
-                                      spec.seed, 0, spec.passes)
+            report = cli.run_trial(scenario, cfg, algorithm, row.np,
+                                   spec.seed, 0, spec.passes).report
             for rate in (row.mean_sum_rate_bits, report.sum_rate_bits):
                 assert abs(rate - want.report.sum_rate_bits) <= 1e-9
             for cap in (row.mean_channel_capacity_bits,
@@ -260,7 +268,7 @@ class TestParallelTrials:
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
         cells = [(Algorithm.IIC, 2), (Algorithm.RMF, 1)]
-        args = (scenario, cfg, 7, cells, 1.0, 2)
+        args = (scenario, replace(cfg, snr_rho=3.7), 7, cells, 2)
         want = [cli._trial_values(*args, [t])[0] for t in range(5)]
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         assert cli._run_trials(*args, 5) == want
@@ -547,18 +555,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("panel_side_m is set by the panel profile") == 2
 
-    def test_unwritable_output_exits_4(self, tmp_path, monkeypatch):
+    def test_unwritable_output_exits_4(self, tmp_path, monkeypatch, capsys):
         cfg = self._write_config(tmp_path)
         calls = []
         monkeypatch.setattr(cli, "trial_channel",
                             lambda *args: calls.append(args))
-        out = tmp_path / "no" / "such" / "dir" / "rows.csv"
-        code = cli.main(["sweep", "--config", str(cfg), "--trials", "1",
-                         "--values", "1", "--profiles", "small",
-                         "--algos", "rmf", "--out", str(out)])
-        assert code == 4
-        assert calls == []  # checked before the first trial
-        assert not out.parent.exists()
+        missing = tmp_path / "no" / "such" / "dir" / "rows.csv"
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        for out in (missing, taken):
+            code = cli.main(["sweep", "--config", str(cfg), "--trials", "1",
+                             "--values", "1", "--profiles", "small",
+                             "--algos", "rmf", "--out", str(out)])
+            assert code == 4
+            assert calls == []  # checked before the first trial
+        assert not missing.parent.exists()
+        assert list(taken.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].endswith("does not exist")
+        assert err[1].endswith("is a directory")
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
@@ -571,11 +586,19 @@ class TestMain:
                          str(tmp_path / "rows.csv")])
         assert code == 3
 
-    def test_trial_rejects_oversized_np(self, tmp_path):
-        cfg = self._write_config(tmp_path)
-        code = cli.main(["trial", "--config", str(cfg), "--algo", "iic",
-                         "--np", "17"])
+    @pytest.mark.parametrize("profile, np_arg", [
+        ("small", "0"), ("small", "17"), ("large", "0"), ("large", "401")])
+    def test_trial_rejects_oversized_np(self, capsys, profile, np_arg):
+        # 0 and Mp + 1 outputs per panel, both checked in one place
+        mp = PanelProfile(profile).antennas_per_panel
+        code = cli.main(["trial", "--profile", profile, "--algo", "iic",
+                         "--np", np_arg])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (f"config error: np must be between 1 and the {mp} "
+                        f"antennas per panel, got {np_arg}")
 
     def _trial_report(self, capsys, argv):
         code = cli.main(["trial", *argv])
@@ -716,6 +739,19 @@ class TestMain:
             text=True, timeout=120, check=True)
         assert reused == fresh.stdout
         assert "trial_index=0" in reused and "rho=1" in reused
+
+    def test_every_flag_dest_is_a_config_key_or_a_command_name(self):
+        # resolve_config reads vars(args) and ignores every name that is
+        # no config key, so a flag with another dest would do nothing
+        keys = {f.name for cls in (ScenarioConfig, SweepSpec)
+                for f in fields(cls)}
+        own = {"config", "out", "algo", "np_outputs", "profile",
+               "trial_index", "help"}
+        (commands,) = [a.choices for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for name in ("sweep", "trial"):
+            dests = {a.dest for a in commands[name]._actions}
+            assert dests - keys - own == set(), name
 
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
