@@ -21,20 +21,17 @@ from .equalizers import (ChainMessage, EqualizerKind, EqualizerSet,
                          single_panel_filter)
 from .errors import (ConfigError, DegenerateChannelError, LisimError,
                      NumericalDomainError)
-from .numerics import (EigDecomp, SvdDecomp, hermitian_eig, logdet2_hpd,
-                       orthonormal_range, svd)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm", "CapacityReport", "ChainMessage", "ChainResult",
     "ChannelRealization", "ConfigError", "DegenerateChannelError",
-    "EigDecomp", "EqualizerKind", "EqualizerSet", "LisimError",
+    "EqualizerKind", "EqualizerSet", "LisimError",
     "NumericalDomainError", "PanelEqualizer", "Scenario",
-    "ScenarioConfig", "SvdDecomp", "TrafficReport",
+    "ScenarioConfig", "TrafficReport",
     "build_scenario", "chain_capacity_trace", "channel_capacity",
-    "hermitian_eig", "iic_local_step", "logdet2_hpd", "los_gain",
-    "orthonormal_range", "realize_channel", "rmf_filter",
+    "iic_local_step", "los_gain", "realize_channel", "rmf_filter",
     "run_centralized", "run_iic_chain", "run_rmf", "sample_users",
-    "single_panel_filter", "sum_rate_full", "sum_rate_panelized", "svd",
+    "single_panel_filter", "sum_rate_full", "sum_rate_panelized",
 ]

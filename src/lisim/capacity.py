@@ -7,6 +7,7 @@ its column space. Rank-deficient filters therefore degrade gracefully to
 a lower-rank projector instead of requiring an explicit Gram inverse.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ class CapacityReport:
                     "per-panel cumulative rate is not nondecreasing")
 
 
+def _check_rho(rho: float) -> None:
+    if not math.isfinite(rho):
+        raise NumericalDomainError(f"rho must be finite, got {rho}")
+
+
 def sum_rate_full(h, w, rho: float) -> float:
     """Rate through a single dense filter, ``log2 det(I + rho H^H P H)``.
 
@@ -55,6 +61,7 @@ def sum_rate_full(h, w, rho: float) -> float:
     full-rank formulation is never formed, so rank-deficient filters are
     handled continuously.
     """
+    _check_rho(rho)
     h = numerics._as_matrix(h, "channel")
     w = numerics._as_matrix(w, "filter")
     if w.shape[0] != h.shape[0]:
@@ -65,17 +72,20 @@ def sum_rate_full(h, w, rho: float) -> float:
 
 def channel_capacity(h, rho: float) -> float:
     """Capacity of the raw antenna interface, ``log2 det(I + rho H^H H)``."""
+    _check_rho(rho)
     h = numerics._as_matrix(h, "channel")
     return numerics.logdet2_eye_plus(rho * (h.conj().T @ h))
 
 
 def _panel_grams(blocks, eq: EqualizerSet, rho: float):
-    """Per-panel terms ``rho H_i^H S_i H_i`` as K x K matrices."""
+    """Per-panel terms ``rho H_i^H S_i H_i``, K x K; checks every input."""
+    _check_rho(rho)
     if len(blocks) != len(eq):
         raise ValueError("one equalizer per channel block is required")
     grams = []
     for h, pe in zip(blocks, eq):
         h = numerics._as_matrix(h, "channel block")
+        numerics._as_matrix(pe.w, "filter")
         if pe.m_rows != h.shape[0]:
             raise ValueError("equalizer and block disagree on antenna count")
         grams.append(numerics.projected_gram(pe.orthonormal_columns(), h, rho))

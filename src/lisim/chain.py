@@ -12,6 +12,7 @@ Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -64,8 +65,8 @@ def _validate_blocks(blocks, np_outputs: int, rho: float):
         raise ConfigError("np_outputs must be at least 1")
     if np_outputs > min(b.shape[0] for b in blocks):
         raise ConfigError("np_outputs cannot exceed the panel antenna count")
-    if rho <= 0.0:
-        raise ConfigError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ConfigError(f"rho must be positive and finite, got {rho}")
     return blocks, k
 
 

@@ -489,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[a.value for a in Algorithm])
     trial.add_argument("--np", required=True, type=int, dest="np_outputs",
                        help="outputs per panel")
-    trial.add_argument("--profile", choices=[p.value for p in PanelProfile],
+    trial.add_argument("--profile", dest="panel_profiles",
+                       choices=[p.value for p in PanelProfile],
                        help="panel profile (default: first configured, else small)")
     trial.add_argument("--seed", type=int, help="base seed")
     trial.add_argument("--rho", type=float, help="linear SNR")
@@ -539,8 +540,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trial(args) -> int:
     cfg, spec = resolve_config(args.config, vars(args))
-    profile = (PanelProfile(args.profile) if args.profile is not None
-               else spec.panel_profiles[0])
+    profile = spec.panel_profiles[0]
     cfg = replace(cfg, panel_side_m=profile.panel_side_m)
     scenario = build_scenario(cfg, profile.antennas_per_panel)
     result = run_trial(scenario, cfg, args.algo, args.np_outputs, spec.seed,

@@ -16,6 +16,7 @@ Filters only matter through the column space of their matrix, so
 semi-unitary representatives are used wherever possible.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,11 +62,6 @@ class PanelEqualizer:
         if self.semi_unitary:
             return self.w
         return numerics.orthonormal_range(self.w)
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the filter column space."""
-        q = self.orthonormal_columns()
-        return q @ q.conj().T
 
 
 @dataclass(frozen=True)
@@ -154,11 +150,11 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     h_panel : array_like
         Local Mp x K channel block.
     z_prev : ChainMessage
-        Accumulator from the previous panel; positive definite and
-        Hermitian as ``numerics.check_hermitian`` defines it, which is
-        relative to scale (identity at the head of the chain).
+        Accumulator from the previous panel, checked here: finite,
+        positive definite and Hermitian as ``numerics.check_hermitian``
+        defines it, relative to scale (identity at the head of the chain).
     rho : float
-        Linear SNR.
+        Linear SNR, positive and finite.
     np_outputs : int
         Requested filter width. The filter keeps ``min(np_outputs, rank)``
         columns, with ``rank`` the numerical rank of the whitened block
@@ -176,9 +172,11 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     h = numerics._as_matrix(h_panel, "channel block")
     if np_outputs < 1:
         raise ValueError("np_outputs must be at least 1")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    dec = numerics.hermitian_eig(z_prev.z)
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    z = numerics._as_matrix(z_prev.z, "chain accumulator")
+    numerics.check_hermitian(z)
+    dec = numerics.hermitian_eig(z)
     if dec.values.size == 0 or dec.values[-1] <= 0.0:
         raise NumericalDomainError(
             "chain accumulator must be positive definite")
@@ -192,5 +190,5 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     # the whitened block already carries sqrt(rho)
     delta_c = numerics.logdet2_eye_plus(numerics.projected_gram(w, h_hat, 1.0))
 
-    z_next = z_prev.z + numerics.projected_gram(w, h, rho)
+    z_next = z + numerics.projected_gram(w, h, rho)
     return eq, delta_c, ChainMessage(z=z_next, hop_index=z_prev.hop_index + 1)

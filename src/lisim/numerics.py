@@ -1,12 +1,16 @@
-"""Dense complex-matrix kernels with explicit numerical contracts.
+"""Dense complex-matrix kernels used by every other module.
 
-Thin, contract-checked wrappers around LAPACK (via numpy) used by every
-other module: Hermitian eigendecomposition, SVD, base-2 log-determinants
-of Hermitian positive-definite matrices (``log2 det(I + X)`` among them),
-orthonormal range bases, the projected Gram ``rho (Q^H H)^H (Q^H H)``
-that every captured covariance is made of, and the K x K user-side factor
-of a tall channel block. All functions are pure and safe to call from
-concurrent workers.
+Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
+SVD, base-2 log-determinants of Hermitian positive-definite matrices
+(``log2 det(I + X)`` among them), orthonormal range bases, the projected
+Gram ``rho (Q^H H)^H (Q^H H)`` that every captured covariance is made of,
+and the K x K user-side factor of a tall channel block. All functions are
+pure and safe to call from concurrent workers. The kernels state their
+preconditions and check none: each input is checked once, by the public
+function it enters. Channel blocks and filters go through ``_as_matrix``
+(2-D, finite) in the ``chain``, ``equalizers`` and ``capacity`` functions
+that take them, every function that takes ``rho`` rejects a non-finite
+one, and ``iic_local_step`` also checks its accumulator for hermiticity.
 """
 
 from dataclasses import dataclass
@@ -68,7 +72,8 @@ def check_hermitian(a: np.ndarray) -> None:
     """Raise unless ``max |A - A^H| <= TOL_HERMITIAN * max |A|``.
 
     The bound scales with ``A``, so rounding passes at any magnitude, and
-    an empty ``A`` passes. This is the only Hermitian guard: no producer
+    an empty ``A`` passes. This is the only Hermitian guard, applied to
+    the chain accumulator where it enters ``iic_local_step``: no producer
     symmetrizes its result.
     """
     if a.shape[0] != a.shape[1]:
@@ -83,18 +88,9 @@ def check_hermitian(a: np.ndarray) -> None:
 def hermitian_eig(a) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, Hermitian as ``check_hermitian`` defines it.
-
-    Raises
-    ------
-    NumericalDomainError
-        If the input is not Hermitian within tolerance.
+    ``a`` must be a finite square ndarray, Hermitian as
+    ``check_hermitian`` defines it; only its lower triangle is read.
     """
-    a = _as_matrix(a)
-    check_hermitian(a)
     values, basis = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending
     return EigDecomp(basis=np.ascontiguousarray(basis[:, ::-1]),
@@ -102,8 +98,7 @@ def hermitian_eig(a) -> EigDecomp:
 
 
 def svd(a) -> SvdDecomp:
-    """Thin singular value decomposition of an arbitrary complex matrix."""
-    a = _as_matrix(a)
+    """Thin singular value decomposition of a finite 2-D ndarray."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return SvdDecomp(left=u, singulars=s)
 
@@ -111,17 +106,16 @@ def svd(a) -> SvdDecomp:
 def logdet2_hpd(a) -> float:
     """Base-2 log-determinant of a Hermitian positive-definite matrix.
 
-    Uses a Cholesky factorization, so the determinant itself is never
-    formed and the result is safe for very large or very small
-    determinants.
+    ``a`` must be a finite square ndarray, Hermitian as
+    ``check_hermitian`` defines it; only its lower triangle is read. Uses
+    a Cholesky factorization, so the determinant itself is never formed
+    and the result is safe for very large or very small determinants.
 
     Raises
     ------
     NumericalDomainError
-        If the input is not Hermitian or not positive definite.
+        If the input is not positive definite.
     """
-    a = _as_matrix(a)
-    check_hermitian(a)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -132,8 +126,7 @@ def logdet2_hpd(a) -> float:
 def logdet2_eye_plus(x: np.ndarray) -> float:
     """``log2 det(I + X)`` of a Hermitian positive-semidefinite K x K ``x``.
 
-    ``I + X`` goes to ``logdet2_hpd`` as it is, so a non-Hermitian ``x``
-    raises ``NumericalDomainError`` there.
+    ``I + X`` goes to ``logdet2_hpd`` as it is, under its precondition.
     """
     return logdet2_hpd(np.eye(x.shape[0]) + x)
 
@@ -164,7 +157,7 @@ def user_side_factor(h: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_range(a) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a``.
+    """Orthonormal basis of the column space of a finite 2-D ndarray ``a``.
 
     Returns the semi-unitary m x r matrix of the left singular vectors
     whose singular value exceeds ``RANK_TOL`` times the largest one, so

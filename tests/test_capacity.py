@@ -83,6 +83,21 @@ class TestSumRatePanelized:
             capacity.sum_rate_panelized([crandn(2, 2)], raw_set(np.eye(2),
                                                                 np.eye(2)), 1.0)
 
+    def test_rejects_non_finite_block(self, crandn):
+        h = crandn(3, 2)
+        h[2, 0] = np.nan
+        with pytest.raises(NumericalDomainError, match="non-finite"):
+            capacity.sum_rate_panelized([h], raw_set(np.eye(3)), 1.0)
+
+    @pytest.mark.parametrize("semi_unitary", [False, True])
+    def test_rejects_non_finite_filter(self, crandn, semi_unitary):
+        w = np.eye(3, 2, dtype=complex)
+        w[0, 1] = np.nan
+        eq = EqualizerSet(per_panel=(equalizers.PanelEqualizer(
+            w, EqualizerKind.IIC, semi_unitary),))
+        with pytest.raises(NumericalDomainError, match="filter"):
+            capacity.sum_rate_panelized([crandn(3, 2)], eq, 1.0)
+
 
 class TestChainCapacityTrace:
     def test_zero_blocks_zero_trace(self):

@@ -745,8 +745,7 @@ class TestMain:
         # no config key, so a flag with another dest would do nothing
         keys = {f.name for cls in (ScenarioConfig, SweepSpec)
                 for f in fields(cls)}
-        own = {"config", "out", "algo", "np_outputs", "profile",
-               "trial_index", "help"}
+        own = {"config", "out", "algo", "np_outputs", "trial_index", "help"}
         (commands,) = [a.choices for a in cli.build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)]
         for name in ("sweep", "trial"):

@@ -12,6 +12,12 @@ def semi_unitary_error(w):
     return np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1])))
 
 
+def span_projector(eq):
+    """Orthogonal projector onto the column space of a panel filter."""
+    q = eq.orthonormal_columns()
+    return q @ q.conj().T
+
+
 class TestRmfFilter:
     def test_orders_by_column_strength(self):
         h = np.array([[2.0, 1.0, 3.0]])  # squared norms 4, 1, 9
@@ -57,7 +63,8 @@ class TestSinglePanelFilter:
         eq = equalizers.single_panel_filter(h, 5)
         assert eq.n_cols == 3  # rank of a generic 5x3 block
         q = numerics.orthonormal_range(h)
-        np.testing.assert_allclose(eq.projector(), q @ q.conj().T, atol=1e-9)
+        np.testing.assert_allclose(span_projector(eq), q @ q.conj().T,
+                                   atol=1e-9)
 
     def test_zero_block_canonical_fallback(self):
         # no canonical fallback: a rank-0 block gets no outputs, as in IIC
@@ -67,6 +74,10 @@ class TestSinglePanelFilter:
     def test_rejects_too_many_outputs(self):
         with pytest.raises(ValueError):
             equalizers.single_panel_filter(np.eye(2), 3)
+
+    def test_rejects_non_finite_block(self):
+        with pytest.raises(NumericalDomainError):
+            equalizers.single_panel_filter(np.array([[np.nan, 0.0]]), 1)
 
 
 class TestIicLocalStep:
@@ -101,6 +112,22 @@ class TestIicLocalStep:
             equalizers.iic_local_step(np.eye(2), ChainMessage(-np.eye(2), 0),
                                       1.0, 1)
 
+    def test_rejects_non_hermitian_accumulator(self):
+        z = np.array([[2.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(NumericalDomainError, match="not Hermitian"):
+            equalizers.iic_local_step(np.eye(2), ChainMessage(z, 0), 1.0, 1)
+
+    def test_rejects_non_square_accumulator(self):
+        with pytest.raises(ValueError, match="square"):
+            equalizers.iic_local_step(np.eye(2),
+                                      ChainMessage(np.zeros((2, 3)), 0), 1.0, 1)
+
+    def test_rejects_non_finite_accumulator(self):
+        z = np.eye(2, dtype=complex)
+        z[0, 1] = z[1, 0] = np.nan
+        with pytest.raises(NumericalDomainError, match="non-finite"):
+            equalizers.iic_local_step(np.eye(2), ChainMessage(z, 0), 1.0, 1)
+
     def test_semi_unitary_on_random_instances(self, crandn):
         for _ in range(25):
             h = crandn(6, 4)
@@ -113,7 +140,7 @@ class TestIicLocalStep:
             assert semi_unitary_error(eq.w) <= 1e-9
             assert delta >= 0.0
             assert np.max(np.abs(msg.z - msg.z.conj().T)) <= 1e-10
-            s = eq.projector()
+            s = span_projector(eq)
             assert np.max(np.abs(s @ s - s)) <= 1e-9
             assert np.trace(s).real == pytest.approx(eq.n_cols, abs=1e-9)
 

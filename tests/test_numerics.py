@@ -34,14 +34,6 @@ class TestHermitianEig:
         dec = numerics.hermitian_eig(a)
         np.testing.assert_allclose(dec.values, expected, rtol=1e-12)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericalDomainError):
-            numerics.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            numerics.hermitian_eig(np.zeros((2, 3)))
-
     def test_random_reconstruction(self, crandn):
         for _ in range(100):
             g = crandn(8, 8)
@@ -92,10 +84,6 @@ class TestSvd:
         np.testing.assert_allclose(np.abs(dec.left[:, 0]), [1.0, 0.0],
                                    atol=1e-12)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericalDomainError):
-            numerics.svd(np.array([[np.nan, 0.0]]))
-
     @pytest.mark.parametrize("shape", [(8, 8), (8, 3), (3, 8)])
     def test_random_reconstruction(self, crandn, shape):
         for _ in range(100):
@@ -137,17 +125,6 @@ class TestLogdet2Hpd:
     def test_rejects_indefinite(self):
         with pytest.raises(NumericalDomainError):
             numerics.logdet2_hpd(np.diag([1.0, -1.0]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericalDomainError):
-            numerics.logdet2_hpd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-class TestLogdet2EyePlus:
-    def test_rejects_non_hermitian(self):
-        # its Hermitian part, [[0, 0.5], [0.5, 0]], would give log2(0.75)
-        with pytest.raises(NumericalDomainError):
-            numerics.logdet2_eye_plus(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestOrthonormalRange:

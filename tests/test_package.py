@@ -2,7 +2,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import lisim
+from lisim import (Algorithm, ChainMessage, ConfigError, EqualizerKind,
+                   EqualizerSet, NumericalDomainError, PanelEqualizer)
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -11,6 +16,14 @@ def test_every_export_resolves():
     assert len(set(lisim.__all__)) == len(lisim.__all__)
     for name in lisim.__all__:
         assert hasattr(lisim, name), name
+
+
+def test_numerics_kernels_are_not_exported():
+    # the kernels check none of their input, so outside callers go
+    # through the public functions that do
+    internal = {"svd", "hermitian_eig", "logdet2_hpd", "orthonormal_range",
+                "EigDecomp", "SvdDecomp"}
+    assert internal.isdisjoint(lisim.__all__)
 
 
 def test_star_import_runs():
@@ -29,3 +42,37 @@ def test_every_benchmark_tracer_site_resolves():
     for module, attr, span in tracing.SITES:
         target = getattr(importlib.import_module(module), attr, None)
         assert callable(target), (module, attr, span)
+
+
+def _rho_calls():
+    h = np.eye(3, 2, dtype=complex)
+    eq = EqualizerSet((PanelEqualizer(h, EqualizerKind.IIC, True),))
+    return {
+        "iic_local_step": (ValueError, lambda rho: lisim.iic_local_step(
+            h, ChainMessage.initial(2), rho, 1)),
+        "run_iic_chain": (ConfigError,
+                          lambda rho: lisim.run_iic_chain([h], rho, 1)),
+        "run_rmf": (ConfigError, lambda rho: lisim.run_rmf([h], 1, rho)),
+        "run_centralized": (ConfigError, lambda rho: lisim.run_centralized(
+            [h], rho, 1, Algorithm.IIC)),
+        "sum_rate_full": (NumericalDomainError,
+                          lambda rho: lisim.sum_rate_full(h, h, rho)),
+        "channel_capacity": (NumericalDomainError,
+                             lambda rho: lisim.channel_capacity(h, rho)),
+        "sum_rate_panelized": (NumericalDomainError,
+                               lambda rho: lisim.sum_rate_panelized(
+                                   [h], eq, rho)),
+        "chain_capacity_trace": (NumericalDomainError,
+                                 lambda rho: lisim.chain_capacity_trace(
+                                     [h], eq, rho)),
+    }
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(_rho_calls()))
+def test_non_finite_rho_is_rejected(name, rho):
+    # the kernels below each entry point check nothing, so a NaN or an
+    # infinite SNR that got past it would come back as a NaN or inf rate
+    error, call = _rho_calls()[name]
+    with pytest.raises(error, match="rho"):
+        call(rho)
