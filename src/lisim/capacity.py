@@ -49,8 +49,9 @@ class CapacityReport:
 
 
 def _check_rho(rho: float) -> None:
-    if not math.isfinite(rho):
-        raise NumericalDomainError(f"rho must be finite, got {rho}")
+    # rho = 0 is a valid zero rate; a negative rho would give a negative one
+    if not 0.0 <= rho < math.inf:
+        raise NumericalDomainError(f"rho must be finite and >= 0, got {rho}")
 
 
 def sum_rate_full(h, w, rho: float) -> float:
@@ -85,10 +86,10 @@ def _panel_grams(blocks, eq: EqualizerSet, rho: float):
     grams = []
     for h, pe in zip(blocks, eq):
         h = numerics._as_matrix(h, "channel block")
-        numerics._as_matrix(pe.w, "filter")
-        if pe.m_rows != h.shape[0]:
+        q = pe.orthonormal_columns()
+        if q.shape[0] != h.shape[0]:
             raise ValueError("equalizer and block disagree on antenna count")
-        grams.append(numerics.projected_gram(pe.orthonormal_columns(), h, rho))
+        grams.append(numerics.projected_gram(q, h, rho))
     return grams
 
 

@@ -58,10 +58,11 @@ class PanelEqualizer:
         return self.w.shape[0]
 
     def orthonormal_columns(self) -> np.ndarray:
-        """Orthonormal basis of the filter column space."""
+        """Orthonormal basis of the filter column space; checks the filter."""
+        w = numerics._as_matrix(self.w, "filter")
         if self.semi_unitary:
-            return self.w
-        return numerics.orthonormal_range(self.w)
+            return w
+        return numerics.orthonormal_range(w)
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ def single_panel_filter(h, n_outputs: int) -> PanelEqualizer:
         raise ValueError("n_outputs must be at least 1")
     if n_outputs > h.shape[0]:
         raise ValueError("n_outputs cannot exceed the number of antennas")
-    dec = numerics.svd(h)
-    return PanelEqualizer(w=dec.left[:, : min(n_outputs, dec.rank())],
+    return PanelEqualizer(w=numerics.orthonormal_range(h, n_outputs),
                           kind=EqualizerKind.SVD_OPT, semi_unitary=True)
 
 
@@ -176,15 +176,14 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
         raise ValueError(f"rho must be positive and finite, got {rho}")
     z = numerics._as_matrix(z_prev.z, "chain accumulator")
     numerics.check_hermitian(z)
-    dec = numerics.hermitian_eig(z)
-    if dec.values.size == 0 or dec.values[-1] <= 0.0:
+    values, basis = numerics.hermitian_eig(z)
+    if values.size == 0 or values[-1] <= 0.0:
         raise NumericalDomainError(
             "chain accumulator must be positive definite")
 
-    whiten = dec.basis * dec.values**-0.5
+    whiten = basis * values**-0.5
     h_hat = np.sqrt(rho) * (h @ whiten)
-    h_dec = numerics.svd(h_hat)
-    w = h_dec.left[:, : min(np_outputs, h_dec.rank())]
+    w = numerics.orthonormal_range(h_hat, np_outputs)
     eq = PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
 
     # the whitened block already carries sqrt(rho)

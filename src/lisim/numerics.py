@@ -4,16 +4,16 @@ Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
 SVD, base-2 log-determinants of Hermitian positive-definite matrices
 (``log2 det(I + X)`` among them), orthonormal range bases, the projected
 Gram ``rho (Q^H H)^H (Q^H H)`` that every captured covariance is made of,
-and the K x K user-side factor of a tall channel block. All functions are
-pure and safe to call from concurrent workers. The kernels state their
+and the K x K user-side factor of a tall channel block. They return plain
+arrays, and ``orthonormal_range`` holds the one rank rule. All functions
+are pure and safe to call from concurrent workers. The kernels state their
 preconditions and check none: each input is checked once, by the public
 function it enters. Channel blocks and filters go through ``_as_matrix``
 (2-D, finite) in the ``chain``, ``equalizers`` and ``capacity`` functions
-that take them, every function that takes ``rho`` rejects a non-finite
-one, and ``iic_local_step`` also checks its accumulator for hermiticity.
+that take them, every function that takes ``rho`` rejects a negative or
+non-finite one, and ``iic_local_step`` also checks its accumulator for
+hermiticity.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,39 +22,9 @@ from .errors import NumericalDomainError
 #: Max entry of ``|A - A^H|`` in Hermitian checks, relative to ``max |A|``.
 TOL_HERMITIAN = 1e-10
 
-#: Relative cutoff (vs. the largest singular value) for rank decisions.
+#: Relative cutoff (vs. the largest singular value) for rank decisions;
+#: read only by ``orthonormal_range``.
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigDecomp:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``basis`` is unitary with eigenvectors as columns, ``values`` is real
-    and sorted descending, and ``basis @ diag(values) @ basis.conj().T``
-    reconstructs the input.
-    """
-
-    basis: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class SvdDecomp:
-    """Left factor of a thin SVD ``A = left @ diag(singulars) @ V^H``.
-
-    ``left`` is semi-unitary; ``singulars`` is real, nonnegative and
-    sorted descending. ``V`` is not kept: nothing reads it.
-    """
-
-    left: np.ndarray
-    singulars: np.ndarray
-
-    def rank(self) -> int:
-        """Number of singular values above ``RANK_TOL`` times the largest."""
-        if self.singulars.size == 0 or self.singulars[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(self.singulars > RANK_TOL * self.singulars[0]))
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -85,22 +55,23 @@ def check_hermitian(a: np.ndarray) -> None:
         )
 
 
-def hermitian_eig(a) -> EigDecomp:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, basis)`` of a Hermitian matrix.
 
     ``a`` must be a finite square ndarray, Hermitian as
     ``check_hermitian`` defines it; only its lower triangle is read.
+    ``values`` is sorted descending, and both arrays are contiguous.
     """
     values, basis = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending
-    return EigDecomp(basis=np.ascontiguousarray(basis[:, ::-1]),
-                     values=np.ascontiguousarray(values[::-1]))
+    return (np.ascontiguousarray(values[::-1]),
+            np.ascontiguousarray(basis[:, ::-1]))
 
 
-def svd(a) -> SvdDecomp:
-    """Thin singular value decomposition of a finite 2-D ndarray."""
+def svd(a) -> tuple[np.ndarray, np.ndarray]:
+    """Left factor ``(U, s)`` of the thin SVD of a finite 2-D ndarray."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return SvdDecomp(left=u, singulars=s)
+    return u, s
 
 
 def logdet2_hpd(a) -> float:
@@ -156,12 +127,14 @@ def user_side_factor(h: np.ndarray) -> np.ndarray:
     return np.linalg.qr(h, mode="r")
 
 
-def orthonormal_range(a) -> np.ndarray:
-    """Orthonormal basis of the column space of a finite 2-D ndarray ``a``.
+def orthonormal_range(a, n=None) -> np.ndarray:
+    """Orthonormal basis of the dominant column space of a finite 2-D ``a``.
 
-    Returns the semi-unitary m x r matrix of the left singular vectors
-    whose singular value exceeds ``RANK_TOL`` times the largest one, so
-    r is the numerical rank; a zero (or empty) input yields r = 0.
+    Returns the leading left singular vectors whose singular value
+    exceeds ``RANK_TOL`` times the largest one, at most ``n`` of them: the
+    width is ``min(n, rank)``, the rank when ``n`` is None, 0 for a zero
+    or empty ``a``. This is the one rank rule of every filter.
     """
-    dec = svd(a)
-    return dec.left[:, : dec.rank()]
+    u, s = svd(a)
+    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
+    return u[:, : rank if n is None else min(n, rank)]

@@ -168,11 +168,23 @@ class TestIicLocalStep:
             msg = ChainMessage(z, 0)
             _, delta, _ = equalizers.iic_local_step(h, msg, 1.0, 1)
 
-            dec = numerics.hermitian_eig(z)
-            h_hat = h @ (dec.basis * dec.values**-0.5)
+            values, basis = numerics.hermitian_eig(z)
+            h_hat = h @ (basis * values**-0.5)
             gram = h_hat @ h_hat.conj().T
             cand = crandn(2, 2000)
             cand /= np.linalg.norm(cand, axis=0)
             gains = np.real(np.sum(cand.conj() * (gram @ cand), axis=0))
             best = float(np.log2(1.0 + gains.max()))
             assert delta >= best - 1e-9
+
+
+class TestPanelEqualizer:
+    @pytest.mark.parametrize("semi_unitary", [False, True])
+    def test_orthonormal_columns_rejects_non_finite_filter(self,
+                                                           semi_unitary):
+        # checked where the filter enters, not deep inside the SVD
+        w = np.eye(3, 2, dtype=complex)
+        w[0, 1] = np.nan
+        pe = equalizers.PanelEqualizer(w, EqualizerKind.RMF, semi_unitary)
+        with pytest.raises(NumericalDomainError, match="filter"):
+            pe.orthonormal_columns()

@@ -14,16 +14,16 @@ def reconstruction_error(a, b):
 
 class TestHermitianEig:
     def test_identity(self):
-        dec = numerics.hermitian_eig(np.eye(2))
-        np.testing.assert_allclose(dec.values, [1.0, 1.0])
-        np.testing.assert_allclose(dec.basis.conj().T @ dec.basis, np.eye(2),
+        values, basis = numerics.hermitian_eig(np.eye(2))
+        np.testing.assert_allclose(values, [1.0, 1.0])
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2),
                                    atol=1e-12)
 
     def test_diagonal(self):
-        dec = numerics.hermitian_eig(np.diag([4.0, 2.0]))
-        np.testing.assert_allclose(dec.values, [4.0, 2.0])
+        values, basis = numerics.hermitian_eig(np.diag([4.0, 2.0]))
+        np.testing.assert_allclose(values, [4.0, 2.0])
         # eigenvectors of a diagonal matrix are canonical columns up to phase
-        np.testing.assert_allclose(np.abs(dec.basis), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(np.abs(basis), np.eye(2), atol=1e-12)
 
     def test_symmetric_2x2(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -31,18 +31,19 @@ class TestHermitianEig:
         tr, det = 4.0, 3.0
         disc = math.sqrt(tr * tr - 4.0 * det)
         expected = [(tr + disc) / 2.0, (tr - disc) / 2.0]
-        dec = numerics.hermitian_eig(a)
-        np.testing.assert_allclose(dec.values, expected, rtol=1e-12)
+        values, _ = numerics.hermitian_eig(a)
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
 
     def test_random_reconstruction(self, crandn):
         for _ in range(100):
             g = crandn(8, 8)
             a = g + g.conj().T
-            dec = numerics.hermitian_eig(a)
-            assert np.all(np.diff(dec.values) <= 0)
-            ortho = dec.basis.conj().T @ dec.basis - np.eye(8)
+            values, basis = numerics.hermitian_eig(a)
+            assert np.all(np.diff(values) <= 0)
+            assert values.flags.c_contiguous and basis.flags.c_contiguous
+            ortho = basis.conj().T @ basis - np.eye(8)
             assert np.max(np.abs(ortho)) <= 1e-10
-            rebuilt = (dec.basis * dec.values) @ dec.basis.conj().T
+            rebuilt = (basis * values) @ basis.conj().T
             assert reconstruction_error(a, rebuilt) <= 1e-9
 
 
@@ -70,33 +71,30 @@ class TestCheckHermitian:
 
 class TestSvd:
     def test_zero_matrix(self):
-        dec = numerics.svd(np.zeros((2, 2)))
-        np.testing.assert_allclose(dec.singulars, [0.0, 0.0])
-        assert dec.rank() == 0
+        _, s = numerics.svd(np.zeros((2, 2)))
+        np.testing.assert_allclose(s, [0.0, 0.0])
 
     def test_diagonal(self):
-        dec = numerics.svd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(dec.singulars, [3.0, 1.0])
+        _, s = numerics.svd(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(s, [3.0, 1.0])
 
     def test_unit_column(self):
-        dec = numerics.svd(np.array([[1.0], [0.0]]))
-        np.testing.assert_allclose(dec.singulars, [1.0])
-        np.testing.assert_allclose(np.abs(dec.left[:, 0]), [1.0, 0.0],
-                                   atol=1e-12)
+        u, s = numerics.svd(np.array([[1.0], [0.0]]))
+        np.testing.assert_allclose(s, [1.0])
+        np.testing.assert_allclose(np.abs(u[:, 0]), [1.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(8, 8), (8, 3), (3, 8)])
     def test_random_reconstruction(self, crandn, shape):
         for _ in range(100):
             a = crandn(*shape)
-            dec = numerics.svd(a)
-            assert np.all(dec.singulars >= 0)
-            assert np.all(np.diff(dec.singulars) <= 0)
-            u = dec.left
+            u, s = numerics.svd(a)
+            assert np.all(s >= 0)
+            assert np.all(np.diff(s) <= 0)
             assert u.shape == (shape[0], min(shape))
             ortho = u.conj().T @ u - np.eye(u.shape[1])
             assert np.max(np.abs(ortho)) <= 1e-10
             # A A^H = U diag(s^2) U^H holds for the left factor alone
-            rebuilt = (u * dec.singulars**2) @ u.conj().T
+            rebuilt = (u * s**2) @ u.conj().T
             assert reconstruction_error(a @ a.conj().T, rebuilt) <= 1e-9
 
 
@@ -142,13 +140,29 @@ class TestOrthonormalRange:
         col = np.array([1.0, 1.0]) / math.sqrt(2.0)
         a = np.column_stack([col, col])
         # rank-1 outer product: singular values are (sqrt(2), 0)
-        sing = numerics.svd(a).singulars
+        _, sing = numerics.svd(a)
         assert sing[0] == pytest.approx(math.sqrt(2.0))
         assert sing[1] == pytest.approx(0.0, abs=1e-12)
         assert numerics.orthonormal_range(a).shape == (2, 1)
 
     def test_zero_matrix_empty_basis(self):
         assert numerics.orthonormal_range(np.zeros((3, 2))).shape == (3, 0)
+
+    @pytest.mark.parametrize("n, width", [(1, 1), (2, 2), (3, 2), (None, 2)],
+                             ids=["below", "at", "above", "none"])
+    def test_width_is_min_of_n_and_rank(self, crandn, n, width):
+        a = crandn(5, 2) @ crandn(2, 4)  # rank 2
+        q = numerics.orthonormal_range(a, n)
+        assert q.shape == (5, width)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(width), atol=1e-12)
+        # the leading columns of the full basis: the dominant directions
+        full = numerics.orthonormal_range(a)
+        np.testing.assert_array_equal(q, full[:, :width])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_matrix_has_no_columns_for_any_n(self, n):
+        # a zero matrix has rank 0, whatever n asks for
+        assert numerics.orthonormal_range(np.zeros((3, 2)), n).shape == (3, 0)
 
     def test_projector_idempotent(self, crandn):
         for _ in range(30):

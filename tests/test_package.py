@@ -21,8 +21,7 @@ def test_every_export_resolves():
 def test_numerics_kernels_are_not_exported():
     # the kernels check none of their input, so outside callers go
     # through the public functions that do
-    internal = {"svd", "hermitian_eig", "logdet2_hpd", "orthonormal_range",
-                "EigDecomp", "SvdDecomp"}
+    internal = {"svd", "hermitian_eig", "logdet2_hpd", "orthonormal_range"}
     assert internal.isdisjoint(lisim.__all__)
 
 
@@ -68,11 +67,17 @@ def _rho_calls():
     }
 
 
-@pytest.mark.parametrize("rho", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5],
+                         ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize("name", sorted(_rho_calls()))
 def test_non_finite_rho_is_rejected(name, rho):
-    # the kernels below each entry point check nothing, so a NaN or an
-    # infinite SNR that got past it would come back as a NaN or inf rate
+    # the kernels below each entry point check nothing, so a NaN, infinite
+    # or negative SNR that got past it would come back as a NaN, inf or
+    # negative rate
     error, call = _rho_calls()[name]
     with pytest.raises(error, match="rho"):
         call(rho)
+
+
+def test_zero_rho_is_a_zero_rate():
+    assert lisim.channel_capacity(np.eye(3, 2, dtype=complex), 0.0) == 0.0
