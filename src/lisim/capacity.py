@@ -115,12 +115,12 @@ def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
 
 
 def _cumulative_trace(grams) -> np.ndarray:
-    """``log2 det(I + G_0 + ... + G_i)`` for each i, the terms added in order."""
+    """``log2 det(I + G_0 + ... + G_i)`` per i, summed from I as a chain does."""
     if not grams:
         return np.zeros(0)
-    acc = np.zeros_like(grams[0])
+    acc = np.eye(grams[0].shape[0], dtype=complex)
     out = np.empty(len(grams))
     for i, g in enumerate(grams):
         acc = acc + g
-        out[i] = numerics.logdet2_eye_plus(acc)
+        out[i] = numerics.logdet2_hpd(acc)
     return out

@@ -96,7 +96,9 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     to the step as computed, Hermitian up to rounding, which the relative
     ``numerics.check_hermitian`` accepts. The last pass's ``C_i`` are the
     terms of the report's per-panel trace, which therefore equals
-    ``capacity.chain_capacity_trace`` of the returned filters.
+    ``capacity.chain_capacity_trace`` of the returned filters. A single
+    pass keeps no ``C_i``: its trace entry i is the log-determinant of
+    the message after panel i, which is that same sum.
 
     Parameters
     ----------
@@ -116,16 +118,23 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     msg = ChainMessage.initial(k)
     filters = [None] * len(blocks)
     contribs = [None] * len(blocks)
+    trace = np.empty(len(blocks))
     for pass_index in range(passes):
         for i, h in enumerate(blocks):
             # in the first pass there is no own contribution to leave out
             z_loo = (msg if pass_index == 0
                      else ChainMessage(msg.z - contribs[i], msg.hop_index))
             filters[i], _, msg = iic_local_step(h, z_loo, rho, np_outputs)
-            contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
+            if passes == 1:
+                # the message is already I + C_0 + ... + C_i, summed in order
+                trace[i] = numerics.logdet2_hpd(msg.z)
+            else:
+                # the step formed this Gram too; ROADMAP items 2-3 drop it
+                contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
 
     eq_set = EqualizerSet(per_panel=tuple(filters))
-    trace = capacity._cumulative_trace(contribs)
+    if passes > 1:
+        trace = capacity._cumulative_trace(contribs)
     report = _build_report(blocks, rho, float(trace[-1]), trace)
     p = len(blocks)
     hops = (p - 1) * passes

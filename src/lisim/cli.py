@@ -201,7 +201,8 @@ def _usable_cpus() -> int:
 def _trial_values(scenario, cfg, seed, cells, passes, indices):
     """(rate, ceiling, chain scalars) of every cell, for each trial index.
 
-    The SNR is ``cfg.snr_rho``, as in ``run_trial``.
+    The SNR is ``cfg.snr_rho``, as in ``run_trial``. Each call synthesizes
+    its own channels, so any subset of a trial's cells can run anywhere.
     """
     values = []
     for t in indices:
@@ -217,32 +218,45 @@ def _trial_values(scenario, cfg, seed, cells, passes, indices):
 def _run_trials(scenario, cfg, seed, cells, passes, trials):
     """``_trial_values`` of trials ``0 .. trials - 1``, in trial order.
 
-    With two or more trials, two or more usable CPUs and the ``fork``
-    start method, the trial indices are split into one contiguous chunk
-    per worker: forked processes run every chunk but the first, which
-    this process runs meanwhile, and the chunks are joined in order.
-    Forking shares the imported modules: a spawned worker would first
-    import numpy and lisim, which takes longer than three large-profile
-    trials. Only the values cross the process boundary, and a worker's
-    exception is raised here with its type and message; a worker killed
-    from outside raises ``BrokenProcessPool`` rather than leaving the
-    sweep waiting. Otherwise, a one-trial call above all, the trials run
-    here and no process is started.
+    With two or more usable CPUs and the ``fork`` start method, the work
+    is split into tasks: contiguous chunks of trial indices, one per CPU,
+    or, with fewer trials than CPUs, each trial's cells dealt round-robin
+    into ``min(cpus // trials, len(cells))`` slices (an IIC cell takes
+    several times an RMF cell, so each slice gets both). Forked processes
+    run every task but the first, which this process runs meanwhile, and
+    the values are put back in (trial, cell) order. Forking shares the
+    imported modules: a spawned worker would first import numpy and
+    lisim, which takes longer than three large-profile trials. Only the
+    values cross the process boundary, and a worker's exception is raised
+    here with its type and message; a worker killed from outside raises
+    ``BrokenProcessPool`` rather than leaving the sweep waiting. With one
+    task (one usable CPU, or one trial of one cell) everything runs here
+    and no process is started.
     """
-    run = partial(_trial_values, scenario, cfg, seed, cells, passes)
-    workers = min(trials, _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
-        return run(range(trials))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    run = partial(_trial_values, scenario, cfg, seed)
+    cpus = _usable_cpus()
+    workers = min(trials, cpus)
+    slices = max(1, min(cpus // trials, len(cells)))
     chunks = [range(trials * i // workers, trials * (i + 1) // workers)
               for i in range(workers)]
+    tasks = [(cells[j::slices], passes, chunk) for chunk in chunks
+             for j in range(slices)]
+    if len(tasks) < 2 or not hasattr(os, "fork"):
+        return run(cells, passes, range(trials))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
-            workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        pending = [pool.submit(run, chunk) for chunk in chunks[1:]]
-        values = run(chunks[0])
-        for chunk in pending:
-            values += chunk.result()
+            len(tasks) - 1,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        pending = [pool.submit(run, *task) for task in tasks[1:]]
+        parts = [run(*tasks[0])] + [task.result() for task in pending]
+    values = []
+    for first in range(0, len(parts), slices):
+        for trial_parts in zip(*parts[first:first + slices]):
+            row = [None] * len(cells)
+            for j, part in enumerate(trial_parts):
+                row[j::slices] = part
+            values.append(row)
     return values
 
 
@@ -279,11 +293,13 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
 
     Each trial reuses one channel realization for every algorithm and
     axis value: the ``trial_channel`` that ``run_trial`` uses for the
-    same (seed, trial index). Trials use independent generator streams,
-    so a sweep of two or more trials runs them on every usable CPU (see
-    ``_run_trials``); the per-trial values come back in trial order and
-    are aggregated as a one-process run would, so the rows (and the CSV
-    written from them) are the same byte for byte on one CPU or many.
+    same (seed, trial index). Trials use independent generator streams
+    and a trial's cells are independent runs on one channel, so a sweep
+    runs its trials, or with fewer trials than CPUs slices of each
+    trial's cells, on every usable CPU (see ``_run_trials``); the values
+    come back in (trial, cell) order and are aggregated as a one-process
+    run would, so the rows (and the CSV written from them) are the same
+    byte for byte on one CPU or many.
     Rows are ordered by profile, then algorithm, then axis value.
 
     Each trial's blocks are factored once and every cell shares the

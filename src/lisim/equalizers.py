@@ -26,6 +26,11 @@ from . import numerics
 from .errors import NumericalDomainError
 
 
+#: Max entry of ``|W^H W - I|`` accepted from a filter flagged
+#: semi-unitary; the SVD bases the subspace filters keep sit near 1e-15.
+SEMI_UNITARY_TOL = 1e-10
+
+
 class EqualizerKind(Enum):
     RMF = "rmf"
     SVD_OPT = "svd_opt"
@@ -58,11 +63,20 @@ class PanelEqualizer:
         return self.w.shape[0]
 
     def orthonormal_columns(self) -> np.ndarray:
-        """Orthonormal basis of the filter column space; checks the filter."""
+        """Orthonormal basis of the filter column space; checks the filter.
+
+        A filter flagged ``semi_unitary`` must have ``W^H W = I`` within
+        ``SEMI_UNITARY_TOL``: a rate through it could exceed the capacity.
+        """
         w = numerics._as_matrix(self.w, "filter")
-        if self.semi_unitary:
-            return w
-        return numerics.orthonormal_range(w)
+        if not self.semi_unitary:
+            return numerics.orthonormal_range(w)
+        deviation = np.abs(w.conj().T @ w - np.eye(w.shape[1])).max(initial=0.0)
+        if deviation > SEMI_UNITARY_TOL:
+            raise NumericalDomainError(
+                f"filter flagged semi-unitary is not (max entry of "
+                f"|W^H W - I| is {deviation:.3e})")
+        return w
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,9 @@
+import os
+
+# Sweeps fork one process per CPU, and OpenBLAS's own threads
+# then compete with them; set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -98,6 +98,17 @@ class TestSumRatePanelized:
         with pytest.raises(NumericalDomainError, match="filter"):
             capacity.sum_rate_panelized([crandn(3, 2)], eq, 1.0)
 
+    def test_rejects_filter_falsely_flagged_semi_unitary(self):
+        # taken as it is, 2 * eye(3, 2) gives 4.64 bits against a 2-bit ceiling
+        h = np.eye(3, 2)
+        w = 2 * np.eye(3, 2)
+        flagged = EqualizerSet((equalizers.PanelEqualizer(
+            w, EqualizerKind.IIC, True),))
+        with pytest.raises(NumericalDomainError, match="semi-unitary"):
+            capacity.sum_rate_panelized([h], flagged, 1.0)
+        assert capacity.sum_rate_panelized([h], raw_set(w), 1.0) == (
+            pytest.approx(capacity.channel_capacity(h, 1.0), abs=1e-12))
+
 
 class TestChainCapacityTrace:
     def test_zero_blocks_zero_trace(self):

@@ -222,6 +222,18 @@ def failing_channel(error, at_trial):
     return channel
 
 
+def failing_in_child(error, real):
+    """``real``, raising ``error`` in any process but this one."""
+    parent = os.getpid()
+
+    def run(*args):
+        if os.getpid() != parent:
+            raise error("boom in a cell slice")
+        return real(*args)
+
+    return run
+
+
 class TestParallelTrials:
     """A sweep of two or more trials runs them on every usable CPU.
 
@@ -230,6 +242,8 @@ class TestParallelTrials:
 
     LARGE_RMF = SweepSpec(values=(1,), algorithms=(Algorithm.RMF,),
                           panel_profiles=(PanelProfile.LARGE,), trials=4)
+    #: One trial of two cells: on two CPUs each runs in its own process.
+    LARGE_SLICES = replace(LARGE_RMF, values=(1, 4), trials=1)
 
     @pytest.mark.parametrize("error, code", [(NumericalDomainError, 3),
                                              (ConfigError, 2)])
@@ -257,7 +271,12 @@ class TestParallelTrials:
                   trials=5, passes=2, rho=3.7),
         SweepSpec(axis=SweepAxis.TOTAL_N, values=(250, 500), trials=3,
                   algorithms=(Algorithm.IIC,), seed=11),
-    ], ids=["small", "large-passes-2", "n-axis"])
+        SweepSpec(values=(1, 4, 16), panel_profiles=(PanelProfile.SMALL,),
+                  trials=1),
+        SweepSpec(values=(1, 2, 4), algorithms=(Algorithm.IIC,),
+                  panel_profiles=(PanelProfile.SMALL,), trials=1),
+    ], ids=["small", "large-passes-2", "n-axis", "one-trial",
+            "one-trial-odd-cells"])
     def test_same_rows_on_one_cpu_or_many(self, monkeypatch, spec, cpus):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         one = cli.run_sweep(spec)
@@ -285,6 +304,50 @@ class TestParallelTrials:
         monkeypatch.setattr(cli, "trial_channel", channel)
         with pytest.raises(BrokenProcessPool):
             cli.run_sweep(self.LARGE_RMF)
+
+    @pytest.mark.parametrize("error, code", [(NumericalDomainError, 3),
+                                             (ConfigError, 2)])
+    def test_cell_slice_error_keeps_type_message_and_exit_code(
+            self, tmp_path, capsys, monkeypatch, error, code):
+        # one trial, two cells, two CPUs: np 4 runs in the forked worker
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "run_rmf",
+                            failing_in_child(error, cli.run_rmf))
+        with pytest.raises(error) as exc:
+            cli.run_sweep(self.LARGE_SLICES)
+        assert type(exc.value) is error
+        assert str(exc.value) == "boom in a cell slice"
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--profiles", "large", "--trials", "1",
+                         "--values", "1,4", "--algos", "rmf",
+                         "--out", str(out)]) == code
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(": boom in a cell slice\n")
+
+    def test_killed_cell_slice_raises_instead_of_waiting(self, monkeypatch):
+        parent = os.getpid()
+        real = cli.run_rmf
+
+        def rmf(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "run_rmf", rmf)
+        with pytest.raises(BrokenProcessPool):
+            cli.run_sweep(self.LARGE_SLICES)
+
+    def test_one_cpu_never_splits_cells(self, monkeypatch):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("multiprocessing context created")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        rows = cli.run_sweep(self.LARGE_SLICES)
+        assert [row.np for row in rows] == [1, 4]
 
     def test_one_trial_never_creates_a_context(self, monkeypatch, capsys):
         import multiprocessing

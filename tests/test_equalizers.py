@@ -188,3 +188,18 @@ class TestPanelEqualizer:
         pe = equalizers.PanelEqualizer(w, EqualizerKind.RMF, semi_unitary)
         with pytest.raises(NumericalDomainError, match="filter"):
             pe.orthonormal_columns()
+
+    @pytest.mark.parametrize("mp, k", [(16, 20), (6, 3), (4, 4)])
+    def test_subspace_filters_pass_the_semi_unitary_check(self, crandn, mp,
+                                                          k):
+        h = crandn(mp, k)
+        low_rank = np.outer(crandn(mp), crandn(k))
+        z = ChainMessage(np.eye(k) + 1e3 * (h.conj().T @ h))
+        filters = [equalizers.single_panel_filter(h, mp),
+                   equalizers.single_panel_filter(low_rank, mp),
+                   equalizers.single_panel_filter(np.zeros((mp, k)), 1),
+                   equalizers.iic_local_step(h, z, 1e3, mp)[0],
+                   equalizers.iic_local_step(low_rank, z, 1.0, 2)[0]]
+        for pe in filters:
+            assert pe.semi_unitary
+            assert pe.orthonormal_columns() is pe.w
