@@ -84,21 +84,17 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     """Decentralized interference-cancellation run over a panel chain.
 
     One fold of the local step over ``passes`` sweeps of the panels in
-    list order. It carries the running accumulator ``z``, which starts at
-    the identity, and each panel's captured covariance ``C_i``, which
-    starts at zero. Panel i steps against ``z - C_i``, replaces ``C_i``
-    by its new contribution and forwards the step's message as ``z``. In
-    the first pass every ``C_i`` is still zero, so each panel steps
-    against ``z`` itself: the plain daisy chain of the envisioned
-    hardware pipeline (the default single pass). In later passes each
-    panel re-optimizes its filter against every other panel's current
-    contribution, which can only increase the objective. ``z - C_i`` goes
-    to the step as computed, Hermitian up to rounding, which the relative
-    ``numerics.check_hermitian`` accepts. The last pass's ``C_i`` are the
-    terms of the report's per-panel trace, which therefore equals
-    ``capacity.chain_capacity_trace`` of the returned filters. A single
-    pass keeps no ``C_i``: its trace entry i is the log-determinant of
-    the message after panel i, which is that same sum.
+    list order, carrying the accumulator ``z`` (from the identity) and the
+    filters, the only per-panel state. In the first pass each panel steps
+    against ``z`` and forwards the step's message as ``z``: the plain
+    daisy chain of the envisioned hardware pipeline (the default single
+    pass). In later passes panel i first subtracts its previous
+    contribution, its filter's projected Gram, and so re-optimizes
+    against every other panel's current contribution, which can only
+    increase the objective; the difference goes to the step as computed,
+    which the relative ``numerics.check_hermitian`` accepts. The report's
+    trace is ``capacity.chain_capacity_trace`` of the filters: the message
+    log-determinants of a single pass, else formed from the final Grams.
 
     Parameters
     ----------
@@ -117,24 +113,25 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
 
     msg = ChainMessage.initial(k)
     filters = [None] * len(blocks)
-    contribs = [None] * len(blocks)
     trace = np.empty(len(blocks))
     for pass_index in range(passes):
         for i, h in enumerate(blocks):
-            # in the first pass there is no own contribution to leave out
-            z_loo = (msg if pass_index == 0
-                     else ChainMessage(msg.z - contribs[i], msg.hop_index))
-            filters[i], _, msg = iic_local_step(h, z_loo, rho, np_outputs)
+            if pass_index:
+                # leave out this panel's contribution from the previous
+                # pass; the step formed this Gram too (ROADMAP items 2-3)
+                msg = ChainMessage(
+                    msg.z - numerics.projected_gram(filters[i].w, h, rho),
+                    msg.hop_index)
+            filters[i], _, msg = iic_local_step(h, msg, rho, np_outputs)
             if passes == 1:
-                # the message is already I + C_0 + ... + C_i, summed in order
+                # the message is I plus panels 0..i's Grams, summed in order
                 trace[i] = numerics.logdet2_hpd(msg.z)
-            else:
-                # the step formed this Gram too; ROADMAP items 2-3 drop it
-                contribs[i] = numerics.projected_gram(filters[i].w, h, rho)
 
     eq_set = EqualizerSet(per_panel=tuple(filters))
     if passes > 1:
-        trace = capacity._cumulative_trace(contribs)
+        trace = capacity._cumulative_trace(
+            [numerics.projected_gram(f.w, h, rho)
+             for f, h in zip(filters, blocks)])
     report = _build_report(blocks, rho, float(trace[-1]), trace)
     p = len(blocks)
     hops = (p - 1) * passes

@@ -120,9 +120,10 @@ def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
         (bottom row first, left to right).
     """
     cfg.validate()
-    side = math.isqrt(int(mp))
-    if mp < 1 or side * side != mp:
-        raise ConfigError(f"antennas per panel must be a perfect square, got {mp}")
+    # an mp that is not a positive integer gets side 0, which no panel has
+    side = math.isqrt(mp) if isinstance(mp, (int, np.integer)) and mp > 0 else 0
+    if side < 1 or side * side != mp:
+        raise ConfigError(f"antennas per panel must be a perfect square, got {mp!r}")
     cols = _exact_div(cfg.lis_width_m, cfg.panel_side_m, "lis_width_m")
     rows = _exact_div(cfg.lis_height_m, cfg.panel_side_m, "lis_height_m")
 

@@ -218,31 +218,30 @@ def _trial_values(scenario, cfg, seed, cells, passes, indices):
 def _run_trials(scenario, cfg, seed, cells, passes, trials):
     """``_trial_values`` of trials ``0 .. trials - 1``, in trial order.
 
-    With two or more usable CPUs and the ``fork`` start method, the work
-    is split into tasks: contiguous chunks of trial indices, one per CPU,
-    or, with fewer trials than CPUs, each trial's cells dealt round-robin
-    into ``min(cpus // trials, len(cells))`` slices (an IIC cell takes
-    several times an RMF cell, so each slice gets both). Forked processes
-    run every task but the first, which this process runs meanwhile, and
-    the values are put back in (trial, cell) order. Forking shares the
-    imported modules: a spawned worker would first import numpy and
-    lisim, which takes longer than three large-profile trials. Only the
-    values cross the process boundary, and a worker's exception is raised
-    here with its type and message; a worker killed from outside raises
+    The work is dealt round-robin into one task per (worker i, slice j):
+    trials ``i, i + workers, ...`` and, of each, cells ``j, j + slices,
+    ...``. There is one worker per usable CPU, or per trial with fewer
+    trials, and ``min(cpus // trials, len(cells))`` slices (an IIC cell
+    takes several times an RMF cell, so each slice gets both). Forked
+    processes run every task but the first, which this process runs
+    meanwhile, and the values are scattered back with the same strides.
+    Forking shares the imported modules: a spawned worker would first
+    import numpy and lisim, which takes longer than three large-profile
+    trials, so without ``os.fork`` one CPU is used. Only the values cross
+    the process boundary, and a worker's exception is raised here with
+    its type and message; a worker killed from outside raises
     ``BrokenProcessPool`` rather than leaving the sweep waiting. With one
     task (one usable CPU, or one trial of one cell) everything runs here
     and no process is started.
     """
     run = partial(_trial_values, scenario, cfg, seed)
-    cpus = _usable_cpus()
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
     workers = min(trials, cpus)
     slices = max(1, min(cpus // trials, len(cells)))
-    chunks = [range(trials * i // workers, trials * (i + 1) // workers)
-              for i in range(workers)]
-    tasks = [(cells[j::slices], passes, chunk) for chunk in chunks
-             for j in range(slices)]
-    if len(tasks) < 2 or not hasattr(os, "fork"):
-        return run(cells, passes, range(trials))
+    tasks = [(cells[j::slices], passes, range(i, trials, workers))
+             for i in range(workers) for j in range(slices)]
+    if len(tasks) == 1:
+        return run(*tasks[0])
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
@@ -250,28 +249,24 @@ def _run_trials(scenario, cfg, seed, cells, passes, trials):
             mp_context=multiprocessing.get_context("fork")) as pool:
         pending = [pool.submit(run, *task) for task in tasks[1:]]
         parts = [run(*tasks[0])] + [task.result() for task in pending]
-    values = []
-    for first in range(0, len(parts), slices):
-        for trial_parts in zip(*parts[first:first + slices]):
-            row = [None] * len(cells)
-            for j, part in enumerate(trial_parts):
-                row[j::slices] = part
-            values.append(row)
+    values = [[None] * len(cells) for _ in range(trials)]
+    for n, part in enumerate(parts):
+        i, j = divmod(n, slices)
+        for row, cell_values in zip(values[i::workers], part):
+            row[j::slices] = cell_values
     return values
 
 
 def _resolve_values(spec: SweepSpec, profile: PanelProfile,
                     p_count: int, mp: int):
-    """Per-profile (np, n_total) pairs for the sweep axis, validated."""
-    if spec.values is not None:
-        values = tuple(int(v) for v in spec.values)
-    elif spec.axis is SweepAxis.NP_PER_PANEL:
-        values = _PROFILE_GEOMETRY[profile][2]
-    else:
-        values = tuple(v * p_count for v in _PROFILE_GEOMETRY[profile][2])
+    """Per-profile (np, n_total) pairs for the sweep axis, validated.
 
+    The default grids fit every profile, so only given values are checked.
+    """
+    if spec.values is None:
+        return [(v, v * p_count) for v in _PROFILE_GEOMETRY[profile][2]]
     pairs = []
-    for v in values:
+    for v in map(int, spec.values):
         if spec.axis is SweepAxis.NP_PER_PANEL:
             np_outputs, n_total = v, v * p_count
         else:

@@ -58,10 +58,6 @@ class PanelEqualizer:
     def n_cols(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def m_rows(self) -> int:
-        return self.w.shape[0]
-
     def orthonormal_columns(self) -> np.ndarray:
         """Orthonormal basis of the filter column space; checks the filter.
 

@@ -15,6 +15,8 @@ non-finite one, and ``iic_local_step`` also checks its accumulator for
 hermiticity.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericalDomainError
@@ -85,13 +87,16 @@ def logdet2_hpd(a) -> float:
     Raises
     ------
     NumericalDomainError
-        If the input is not positive definite.
+        If the input is not positive definite, or the result is not finite.
     """
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
-    return float(2.0 * np.log2(chol.diagonal().real).sum())
+    value = float(2.0 * np.log2(chol.diagonal().real).sum())
+    if not math.isfinite(value):
+        raise NumericalDomainError(f"log-determinant is not finite: {value}")
+    return value
 
 
 def logdet2_eye_plus(x: np.ndarray) -> float:

@@ -141,6 +141,25 @@ class TestChainCapacityTrace:
             capacity.sum_rate_panelized(blocks, eq_set, 1.3), abs=1e-9)
 
 
+class TestNonFiniteRates:
+    """A finite rho whose Grams overflow raises, not a NaN or inf rate."""
+
+    H = 2 * np.eye(3, 2, dtype=complex)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["channel_capacity", "sum_rate_full",
+                                      "sum_rate_panelized",
+                                      "chain_capacity_trace"])
+    def test_overflow_raises(self, name):
+        h = self.H
+        args = {"channel_capacity": (h,), "sum_rate_full": (h, h),
+                "sum_rate_panelized": ([h, h], raw_set(h, h)),
+                "chain_capacity_trace": ([h], raw_set(h))}[name]
+        with pytest.raises(NumericalDomainError, match="not finite"):
+            getattr(capacity, name)(*args, 1e308)
+
+
 class TestInvariants:
     def test_data_processing_bound(self, crandn):
         for _ in range(30):

@@ -145,6 +145,13 @@ class TestRunRmf:
         assert res.traffic.centralized_csi_scalars == 0
         assert res.report.per_panel_cumulative.size == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_rate_raises(self):
+        # CapacityReport.validate lets a NaN rate and an inf ceiling pass
+        with pytest.raises(NumericalDomainError, match="not finite"):
+            chain.run_rmf([2 * np.eye(3, 2)] * 2, 1, 1e308)
+
     def test_identical_blocks_identical_selections(self, crandn):
         h = crandn(4, 5)
         res = chain.run_rmf([h, h], 2, rho=1.0)

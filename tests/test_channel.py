@@ -90,8 +90,9 @@ class TestBuildScenario:
         assert np.all(centers[:, 2] == 0.0)
 
     def test_rejects_non_square_mp(self, cfg):
-        with pytest.raises(ConfigError):
-            channel.build_scenario(cfg, 15)
+        for mp in (15, -4, 0, 2.5, 16.0):
+            with pytest.raises(ConfigError):
+                channel.build_scenario(cfg, mp)
 
     def test_rejects_non_divisible_geometry(self, cfg):
         with pytest.raises(ConfigError):

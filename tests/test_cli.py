@@ -249,7 +249,7 @@ class TestParallelTrials:
                                              (ConfigError, 2)])
     def test_worker_error_keeps_type_message_and_exit_code(
             self, tmp_path, capsys, monkeypatch, error, code):
-        # two CPUs: trials 2 and 3 run in the forked worker
+        # two CPUs: trials 1 and 3 run in the forked worker
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "trial_channel", failing_channel(error, 3))
         with pytest.raises(error) as exc:
@@ -293,10 +293,13 @@ class TestParallelTrials:
         assert cli._run_trials(*args, 5) == want
 
     def test_killed_worker_raises_instead_of_waiting(self, monkeypatch):
+        parent = os.getpid()
         real = cli.trial_channel
 
         def channel(scenario, cfg, seed, trial_index):
             if trial_index == 3:
+                # two CPUs deal trial 3 to the forked worker
+                assert os.getpid() != parent
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(scenario, cfg, seed, trial_index)
 
@@ -348,6 +351,20 @@ class TestParallelTrials:
         monkeypatch.setattr(multiprocessing, "get_context", refuse)
         rows = cli.run_sweep(self.LARGE_SLICES)
         assert [row.np for row in rows] == [1, 4]
+
+    def test_no_fork_runs_every_trial_here(self, monkeypatch):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("multiprocessing context created")
+
+        spec = replace(self.LARGE_SLICES, trials=3)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        one = cli.run_sweep(spec)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        assert cli.run_sweep(spec) == one
 
     def test_one_trial_never_creates_a_context(self, monkeypatch, capsys):
         import multiprocessing
@@ -648,6 +665,21 @@ class TestMain:
         code = cli.main(["sweep", "--config", str(cfg), "--out",
                          str(tmp_path / "rows.csv")])
         assert code == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_rate_exits_3(self, tmp_path, capsys):
+        # rho = 1e308 is finite, but the Grams it scales overflow
+        assert cli.main(["trial", "--algo", "rmf", "--np", "1",
+                         "--profile", "large", "--rho", "1e308"]) == 3
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--profiles", "large", "--algos", "rmf",
+                         "--values", "1", "--trials", "1", "--rho", "1e308",
+                         "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("numerical error: ") == 2
 
     @pytest.mark.parametrize("profile, np_arg", [
         ("small", "0"), ("small", "17"), ("large", "0"), ("large", "401")])

@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,20 @@ def test_star_import_runs():
     namespace = {}
     exec("from lisim import *", namespace)
     assert set(lisim.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_out_scipy_and_the_process_pool():
+    # a lone in-process request never forks, so it must not pay for
+    # importing the pool modules (or scipy, which nothing in src needs)
+    src = str(Path(lisim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, lisim.cli; print([m for m in ('scipy', "
+             "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_every_benchmark_tracer_site_resolves():
