@@ -107,15 +107,12 @@ def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
 def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
     """Cumulative sum rate after each panel of a chain run.
 
-    Entry i is the rate delivered by panels 0..i together. The final
+    Entry i, ``log2 det(I + G_0 + ... + G_i)`` summed from I as a chain
+    does, is the rate delivered by panels 0..i together. The final
     entry equals ``sum_rate_panelized`` and consecutive differences equal
     the per-panel increments reported by the chain steps.
     """
-    return _cumulative_trace(_panel_grams(blocks, eq, rho))
-
-
-def _cumulative_trace(grams) -> np.ndarray:
-    """``log2 det(I + G_0 + ... + G_i)`` per i, summed from I as a chain does."""
+    grams = _panel_grams(blocks, eq, rho)
     if not grams:
         return np.zeros(0)
     acc = np.eye(grams[0].shape[0], dtype=complex)

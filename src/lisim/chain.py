@@ -61,8 +61,8 @@ def _validate_blocks(blocks, np_outputs: int, rho: float):
     k = blocks[0].shape[1]
     if any(b.shape[1] != k for b in blocks):
         raise ConfigError("all channel blocks must share the user dimension")
-    if np_outputs < 1:
-        raise ConfigError("np_outputs must be at least 1")
+    if not numerics._is_int(np_outputs) or np_outputs < 1:
+        raise ConfigError("np_outputs must be an integer of at least 1")
     if np_outputs > min(b.shape[0] for b in blocks):
         raise ConfigError("np_outputs cannot exceed the panel antenna count")
     if not 0.0 < rho < math.inf:
@@ -93,8 +93,8 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     against every other panel's current contribution, which can only
     increase the objective; the difference goes to the step as computed,
     which the relative ``numerics.check_hermitian`` accepts. The report's
-    trace is ``capacity.chain_capacity_trace`` of the filters: the message
-    log-determinants of a single pass, else formed from the final Grams.
+    trace is ``capacity.chain_capacity_trace`` of the filters: read off the
+    forwarded messages of a single pass, else computed by it.
 
     Parameters
     ----------
@@ -108,8 +108,8 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
         Number of sweeps over the chain, at least 1.
     """
     blocks, k = _validate_blocks(blocks, np_outputs, rho)
-    if passes < 1:
-        raise ConfigError("passes must be at least 1")
+    if not numerics._is_int(passes) or passes < 1:
+        raise ConfigError("passes must be an integer of at least 1")
 
     msg = ChainMessage.initial(k)
     filters = [None] * len(blocks)
@@ -129,9 +129,7 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
 
     eq_set = EqualizerSet(per_panel=tuple(filters))
     if passes > 1:
-        trace = capacity._cumulative_trace(
-            [numerics.projected_gram(f.w, h, rho)
-             for f, h in zip(filters, blocks)])
+        trace = capacity.chain_capacity_trace(blocks, eq_set, rho)
     report = _build_report(blocks, rho, float(trace[-1]), trace)
     p = len(blocks)
     hops = (p - 1) * passes

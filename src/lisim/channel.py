@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, DegenerateChannelError, NumericalDomainError
 
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
@@ -42,16 +43,16 @@ class ScenarioConfig:
     snr_rho: float = 1.0
     min_user_depth_m: float = 0.5
 
-    def validate(self) -> None:
-        """Raise ConfigError if any field is out of range or inconsistent."""
+    def __post_init__(self) -> None:
+        """Raise ConfigError on a bad field; ``replace`` runs this too."""
         for name in ("lis_width_m", "lis_height_m", "room_width_m",
                      "room_height_m", "room_depth_m", "panel_side_m",
                      "wavelength_m", "snr_rho", "min_user_depth_m"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be positive and finite")
-        if self.users_k < 1:
-            raise ConfigError("users_k must be at least 1")
+        if not numerics._is_int(self.users_k) or self.users_k < 1:
+            raise ConfigError("users_k must be an integer of at least 1")
         if self.min_user_depth_m >= self.room_depth_m:
             raise ConfigError("min_user_depth_m must be smaller than room_depth_m")
         _exact_div(self.lis_width_m, self.panel_side_m, "lis_width_m")
@@ -106,8 +107,8 @@ def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
     Parameters
     ----------
     cfg : ScenarioConfig
-        Validated geometry; ``panel_side_m`` must divide both surface
-        dimensions.
+        Geometry; ``panel_side_m`` divides both surface dimensions, as
+        ``ScenarioConfig`` checks when it is built.
     mp : int
         Antennas per panel; must be a perfect square. Antennas sit at the
         cell centers of a sqrt(mp) x sqrt(mp) grid inside each panel, so
@@ -119,9 +120,8 @@ def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
         The M antenna positions, panel after panel in row-major order
         (bottom row first, left to right).
     """
-    cfg.validate()
     # an mp that is not a positive integer gets side 0, which no panel has
-    side = math.isqrt(mp) if isinstance(mp, (int, np.integer)) and mp > 0 else 0
+    side = math.isqrt(mp) if numerics._is_int(mp) and mp > 0 else 0
     if side < 1 or side * side != mp:
         raise ConfigError(f"antennas per panel must be a perfect square, got {mp!r}")
     cols = _exact_div(cfg.lis_width_m, cfg.panel_side_m, "lis_width_m")

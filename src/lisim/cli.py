@@ -78,23 +78,23 @@ class SweepSpec:
     rho: float = 1.0
     passes: int = 1
 
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if self.seed < 0:
+    def __post_init__(self) -> None:
+        if not numerics._is_int(self.trials) or self.trials < 1:
+            raise ConfigError("trials must be an integer of at least 1")
+        if not numerics._is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if not math.isfinite(self.rho) or self.rho <= 0.0:
             raise ConfigError("rho must be positive and finite")
-        if self.passes < 1:
-            raise ConfigError("passes must be at least 1")
+        if not numerics._is_int(self.passes) or self.passes < 1:
+            raise ConfigError("passes must be an integer of at least 1")
         if not self.algorithms:
-            raise ConfigError("at least one algorithm is required")
+            raise ConfigError("algorithms must name at least one algorithm")
         if not self.panel_profiles:
-            raise ConfigError("at least one panel profile is required")
+            raise ConfigError("panel_profiles must name at least one profile")
         if self.values is not None:
             if not self.values:
                 raise ConfigError("values must not be empty")
-            if any(int(v) != v or v < 1 for v in self.values):
+            if any(not numerics._is_int(v) or v < 1 for v in self.values):
                 raise ConfigError("values must be positive integers")
             if len(set(self.values)) != len(self.values):
                 raise ConfigError("values must not repeat")
@@ -127,8 +127,9 @@ def trial_channel(scenario: Scenario, cfg: ScenarioConfig, seed: int,
     User positions come from the independent, reproducible generator
     stream (seed, trial_index), so the index must be nonnegative.
     """
-    if trial_index < 0:
-        raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
+    if not numerics._is_int(trial_index) or trial_index < 0:
+        raise ConfigError(
+            f"trial index must be a nonnegative integer, got {trial_index!r}")
     rng = np.random.default_rng([seed, trial_index])
     users = sample_users(scenario, cfg, rng)
     return realize_channel(scenario, users, cfg.wavelength_m)
@@ -310,7 +311,6 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
 
     Returns a list of SweepRow.
     """
-    spec.validate()
     if cfg is None:
         cfg = ScenarioConfig()
     plans = []
@@ -436,7 +436,7 @@ def _read_member(enum_cls, value, key: str):
 
 
 def _read_members(enum_cls, value, key: str) -> tuple:
-    """Distinct members in first-seen order; may be empty (see ``validate``)."""
+    """Distinct members in first-seen order; may be empty (see SweepSpec)."""
     return tuple(dict.fromkeys(_read_member(enum_cls, v, key)
                                for v in _entries(value, key)))
 
@@ -457,12 +457,10 @@ _READERS = {
 
 
 def _from_mapping(cls, data: dict):
-    """A validated ``cls`` from the keys of ``data`` that name its fields."""
+    """A ``cls`` from the keys of ``data`` that name its fields."""
     names = {f.name for f in fields(cls)}
-    obj = cls(**{k: _READERS.get(k, _coerce_float)(v, k)
-                 for k, v in data.items() if k in names})
-    obj.validate()
-    return obj
+    return cls(**{k: _READERS.get(k, _coerce_float)(v, k)
+                  for k, v in data.items() if k in names})
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +554,6 @@ def _cmd_trial(args) -> int:
     scenario = build_scenario(cfg, profile.antennas_per_panel)
     result = run_trial(scenario, cfg, args.algo, args.np_outputs, spec.seed,
                        args.trial_index, spec.passes)
-    report, traffic = result.report, result.traffic
     items = [
         ("profile", profile.value),
         ("algorithm", args.algo),
@@ -566,13 +563,10 @@ def _cmd_trial(args) -> int:
         ("seed", spec.seed),
         ("trial_index", args.trial_index),
         ("passes", result.passes_executed),
-        ("sum_rate_bits", _fmt(report.sum_rate_bits)),
-        ("channel_capacity_bits", _fmt(report.channel_capacity_bits)),
-        ("chain_complex_scalars", traffic.chain_complex_scalars),
-        ("backplane_scalars_per_use", traffic.backplane_scalars_per_use),
-        ("cpu_scalars_per_use", traffic.cpu_scalars_per_use),
-        ("centralized_csi_scalars", traffic.centralized_csi_scalars),
-    ]
+        ("sum_rate_bits", _fmt(result.report.sum_rate_bits)),
+        ("channel_capacity_bits", _fmt(result.report.channel_capacity_bits)),
+    ] + [(f.name, getattr(result.traffic, f.name))
+         for f in fields(result.traffic)]
     for key, value in items:
         print(f"{key}={value}")
     return 0
@@ -581,7 +575,10 @@ def _cmd_trial(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite rate raises in logdet2_hpd, so numpy's overflow
+        # warnings would only repeat that error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

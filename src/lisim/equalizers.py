@@ -120,8 +120,8 @@ def rmf_filter(h_panel, np_outputs: int) -> PanelEqualizer:
     keep ascending user index. More outputs than users would only
     duplicate columns without adding rank, so the width is capped at K.
     """
-    if np_outputs < 1:
-        raise ValueError("np_outputs must be at least 1")
+    if not numerics._is_int(np_outputs) or np_outputs < 1:
+        raise ValueError("np_outputs must be an integer of at least 1")
     h = numerics._as_matrix(h_panel, "channel block")
     norms = np.sum(np.abs(h) ** 2, axis=0)
     order = np.argsort(-norms, kind="stable")
@@ -139,8 +139,8 @@ def single_panel_filter(h, n_outputs: int) -> PanelEqualizer:
     ``iic_local_step``: no output would carry signal.
     """
     h = numerics._as_matrix(h, "channel block")
-    if n_outputs < 1:
-        raise ValueError("n_outputs must be at least 1")
+    if not numerics._is_int(n_outputs) or n_outputs < 1:
+        raise ValueError("n_outputs must be an integer of at least 1")
     if n_outputs > h.shape[0]:
         raise ValueError("n_outputs cannot exceed the number of antennas")
     return PanelEqualizer(w=numerics.orthonormal_range(h, n_outputs),
@@ -180,8 +180,8 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
         ``z_prev + rho (W^H H)^H (W^H H)`` as computed (not symmetrized).
     """
     h = numerics._as_matrix(h_panel, "channel block")
-    if np_outputs < 1:
-        raise ValueError("np_outputs must be at least 1")
+    if not numerics._is_int(np_outputs) or np_outputs < 1:
+        raise ValueError("np_outputs must be an integer of at least 1")
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     z = numerics._as_matrix(z_prev.z, "chain accumulator")

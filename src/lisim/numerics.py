@@ -11,8 +11,8 @@ preconditions and check none: each input is checked once, by the public
 function it enters. Channel blocks and filters go through ``_as_matrix``
 (2-D, finite) in the ``chain``, ``equalizers`` and ``capacity`` functions
 that take them, every function that takes ``rho`` rejects a negative or
-non-finite one, and ``iic_local_step`` also checks its accumulator for
-hermiticity.
+non-finite one, every count must pass ``_is_int`` where it enters, and
+``iic_local_step`` also checks its accumulator for hermiticity.
 """
 
 import math
@@ -38,6 +38,11 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericalDomainError(f"{name} contains non-finite entries")
     return a
+
+
+def _is_int(value) -> bool:
+    """True for an int or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_hermitian(a: np.ndarray) -> None:
@@ -92,6 +97,9 @@ def logdet2_hpd(a) -> float:
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(a).all():
+            raise NumericalDomainError("log-determinant is not finite: "
+                                       "non-finite matrix entries") from exc
         raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
     value = float(2.0 * np.log2(chol.diagonal().real).sum())
     if not math.isfinite(value):

@@ -110,12 +110,22 @@ class TestSumRatePanelized:
             pytest.approx(capacity.channel_capacity(h, 1.0), abs=1e-12))
 
 
+@pytest.mark.parametrize("name", ["sum_rate_full", "sum_rate_panelized",
+                                  "chain_capacity_trace"])
+def test_rejects_antenna_count_mismatch(crandn, name):
+    h, w = crandn(3, 2), np.eye(4, 2)
+    args = (h, w) if name == "sum_rate_full" else ([h], raw_set(w))
+    with pytest.raises(ValueError, match="antenna"):
+        getattr(capacity, name)(*args, 1.0)
+
+
 class TestChainCapacityTrace:
     def test_zero_blocks_zero_trace(self):
-        blocks = [np.zeros((2, 3)), np.zeros((2, 3))]
-        trace = capacity.chain_capacity_trace(blocks, raw_set(np.eye(2),
-                                                              np.eye(2)), 1.0)
-        np.testing.assert_allclose(trace, np.zeros(2), atol=1e-12)
+        for p in (0, 2):
+            blocks = [np.zeros((2, 3))] * p
+            trace = capacity.chain_capacity_trace(
+                blocks, raw_set(*[np.eye(2)] * p), 1.0)
+            np.testing.assert_allclose(trace, np.zeros(p), atol=1e-12)
 
     def test_single_block(self, crandn):
         h = crandn(4, 2)

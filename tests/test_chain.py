@@ -117,6 +117,9 @@ class TestRunIicChain:
         {"np_outputs": 0},
         {"rho": 0.0},
         {"passes": 0},
+        {"np_outputs": 1.5},
+        {"passes": 2.5},
+        {"passes": True},
     ])
     def test_rejects_bad_arguments(self, crandn, kwargs):
         blocks = random_blocks(crandn, 2, 3, 2)
@@ -144,6 +147,11 @@ class TestRunRmf:
         assert res.traffic.chain_complex_scalars == 0
         assert res.traffic.centralized_csi_scalars == 0
         assert res.report.per_panel_cumulative.size == 0
+
+    @pytest.mark.parametrize("np_outputs", [2.5, True])
+    def test_rejects_bad_width(self, crandn, np_outputs):
+        with pytest.raises(ConfigError, match="np_outputs"):
+            chain.run_rmf(random_blocks(crandn, 2, 3, 2), np_outputs, 1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

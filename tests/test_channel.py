@@ -17,8 +17,8 @@ def cfg():
 
 
 class TestScenarioConfig:
-    def test_defaults_valid(self, cfg):
-        cfg.validate()
+    def test_defaults_valid(self):
+        channel.ScenarioConfig()
 
     @pytest.mark.parametrize("overrides", [
         {"panel_side_m": 0.3},            # does not divide the 10 m width
@@ -28,10 +28,13 @@ class TestScenarioConfig:
         {"users_k": 0},
         {"wavelength_m": -1.0},
         {"lis_height_m": 5.0},            # taller than the room
+        {"min_user_depth_m": 30.0},       # as deep as the room
+        {"users_k": 2.5},
+        {"users_k": True},
     ])
     def test_rejects_bad_values(self, cfg, overrides):
         with pytest.raises(ConfigError):
-            replace(cfg, **overrides).validate()
+            replace(cfg, **overrides)
 
 
 def _panels(sc):
@@ -149,6 +152,11 @@ class TestLosGain:
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(NumericalDomainError):
             channel.los_gain([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.05)
+
+    @pytest.mark.parametrize("wavelength_m", [0.0, -0.05])
+    def test_rejects_nonpositive_wavelength(self, wavelength_m):
+        with pytest.raises(NumericalDomainError, match="wavelength"):
+            channel.los_gain([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], wavelength_m)
 
 
 def _panel_block(antennas, users, wavelength_m):

@@ -29,6 +29,16 @@ def tiny_cfg():
     return ScenarioConfig(**TINY_SCENARIO)
 
 
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this lisim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120,
+                          check=False)
+
+
 def tiny_spec(**overrides):
     base = dict(axis=SweepAxis.NP_PER_PANEL, values=(1, 2),
                 algorithms=(Algorithm.IIC, Algorithm.RMF),
@@ -120,8 +130,9 @@ class TestRunTrial:
 
     def test_trial_channel_rejects_negative_index(self):
         cfg = tiny_cfg()
-        with pytest.raises(ConfigError, match="trial index"):
-            cli.trial_channel(build_scenario(cfg, 16), cfg, 42, -1)
+        for index in (-1, 1.5):
+            with pytest.raises(ConfigError, match="trial index"):
+                cli.trial_channel(build_scenario(cfg, 16), cfg, 42, index)
 
 
 class TestRunSweep:
@@ -433,6 +444,12 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError):
             cli.load_config_file(path)
 
+    def test_non_object_json_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigError, match="JSON object"):
+            cli.load_config_file(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json", encoding="utf-8")
@@ -459,16 +476,27 @@ class TestConfigIngestion:
     @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
     def test_non_finite_rho_rejected(self, rho):
         with pytest.raises(ConfigError):
-            SweepSpec(rho=rho).validate()
+            SweepSpec(rho=rho)
         with pytest.raises(ConfigError):
-            ScenarioConfig(snr_rho=rho).validate()
+            ScenarioConfig(snr_rho=rho)
 
     @pytest.mark.parametrize("name", ["wavelength_m", "lis_width_m",
                                       "room_depth_m", "min_user_depth_m"])
     def test_non_finite_geometry_rejected(self, name):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
-                ScenarioConfig(**{name: value}).validate()
+                ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("change", [
+        {"trials": 0}, {"trials": 2.5}, {"seed": -1}, {"seed": 1.5},
+        {"passes": 0}, {"passes": 1.5}, {"values": ()}, {"values": (0,)},
+        {"values": ("a",)}, {"values": (2.0,)}, {"algorithms": ()},
+        {"panel_profiles": ()}])
+    def test_sweep_spec_rejects_bad_values(self, change):
+        # replace builds a new SweepSpec, so it checks the change too
+        (key,) = change
+        with pytest.raises(ConfigError, match=key):
+            replace(SweepSpec(), **change)
 
 
 #: A valid non-default config-file value of every field but panel_side_m,
@@ -666,20 +694,23 @@ class TestMain:
                          str(tmp_path / "rows.csv")])
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_overflowing_rate_exits_3(self, tmp_path, capsys):
-        # rho = 1e308 is finite, but the Grams it scales overflow
-        assert cli.main(["trial", "--algo", "rmf", "--np", "1",
-                         "--profile", "large", "--rho", "1e308"]) == 3
+    def test_overflowing_rate_exits_3(self, tmp_path):
+        # rho = 1e308 is finite, but the Grams it scales overflow. The
+        # error is one line, with no numpy warning before it, also from the
+        # worker that a three-trial sweep forks on two or more CPUs.
         out = tmp_path / "rows.csv"
-        assert cli.main(["sweep", "--profiles", "large", "--algos", "rmf",
-                         "--values", "1", "--trials", "1", "--rho", "1e308",
-                         "--out", str(out)]) == 3
+        details = {"rmf": "nan", "iic": "non-finite matrix entries"}
+        for algo, detail in details.items():
+            for argv in (["trial", "--profile", "large", "--algo", algo,
+                          "--np", "1"],
+                         ["sweep", "--profiles", "large", "--algos", algo,
+                          "--values", "1", "--trials", "3", "--out", str(out)]):
+                done = run_python("-m", "lisim.cli", *argv, "--rho", "1e308")
+                assert done.returncode == 3
+                assert done.stdout == ""
+                assert done.stderr == ("numerical error: log-determinant is "
+                                       f"not finite: {detail}\n")
         assert not out.exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("numerical error: ") == 2
 
     @pytest.mark.parametrize("profile, np_arg", [
         ("small", "0"), ("small", "17"), ("large", "0"), ("large", "401")])
@@ -773,7 +804,8 @@ class TestMain:
     @pytest.mark.parametrize("payload", [
         '{"trials": "x"}', '{"values": ["a"]}', '{"trials": null}',
         '{"users_k": [3]}', '{"algorithms": 5}', '{"seed": 1e400}',
-        '{"rho": true}', '{"wavelength_m": "0.1"}'])
+        '{"rho": true}', '{"wavelength_m": "0.1"}', '{"algorithms": []}',
+        '{"panel_profiles": ""}', '{"values": []}', '{"wavelength_m": [1]}'])
     @pytest.mark.parametrize("command", ["sweep", "trial"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      payload):
@@ -802,13 +834,9 @@ class TestMain:
 
     def test_module_entry_point_runs_without_warnings(self):
         # runpy warns when importing the package has already imported cli
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lisim.cli",
-             "trial", "--algo", "rmf", "--np", "1", "--profile", "large"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-            text=True, timeout=120, check=False)
+        done = run_python("-W", "error::RuntimeWarning", "-m", "lisim.cli",
+                          "trial", "--algo", "rmf", "--np", "1",
+                          "--profile", "large")
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
 
@@ -826,12 +854,8 @@ class TestMain:
         capsys.readouterr()
         assert cli.main(last) == 0
         reused = capsys.readouterr().out
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        fresh = subprocess.run(
-            [sys.executable, "-m", "lisim.cli", *last],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-            text=True, timeout=120, check=True)
+        fresh = run_python("-m", "lisim.cli", *last)
+        assert fresh.returncode == 0, fresh.stderr
         assert reused == fresh.stdout
         assert "trial_index=0" in reused and "rho=1" in reused
 

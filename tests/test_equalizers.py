@@ -203,3 +203,14 @@ class TestPanelEqualizer:
         for pe in filters:
             assert pe.semi_unitary
             assert pe.orthonormal_columns() is pe.w
+
+
+@pytest.mark.parametrize("n", [0, 1.5, True])
+@pytest.mark.parametrize("build", [
+    equalizers.rmf_filter,
+    equalizers.single_panel_filter,
+    lambda h, n: equalizers.iic_local_step(h, ChainMessage.initial(2), 1.0, n),
+], ids=["rmf_filter", "single_panel_filter", "iic_local_step"])
+def test_rejects_bad_output_count(build, n):
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        build(np.eye(2), n)

@@ -124,6 +124,11 @@ class TestLogdet2Hpd:
         with pytest.raises(NumericalDomainError):
             numerics.logdet2_hpd(np.diag([1.0, -1.0]))
 
+    def test_failed_cholesky_of_non_finite_entries(self):
+        # an overflowing Gram can make the Cholesky fail, not return NaN
+        with pytest.raises(NumericalDomainError, match="not finite"):
+            numerics.logdet2_hpd(np.diag([1.0, -np.inf]))
+
 
 class TestOrthonormalRange:
     def test_rank_one_span(self):
