@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cache, partial
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .chain import Algorithm, run_iic_chain, run_rmf
+# run_iic_chain is not called here; benchmarks/tracing.py looks it up here
+from .chain import Algorithm, _iic_chains, run_iic_chain, run_rmf  # noqa: F401
 from .channel import (ChannelRealization, ScenarioConfig, Scenario,
                       build_scenario, realize_channel, sample_users)
 from .errors import ConfigError, NumericalDomainError
@@ -83,14 +85,15 @@ class SweepSpec:
             raise ConfigError("trials must be an integer of at least 1")
         if not numerics._is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if not math.isfinite(self.rho) or self.rho <= 0.0:
+        if (not numerics._is_real(self.rho) or not math.isfinite(self.rho)
+                or self.rho <= 0.0):
             raise ConfigError("rho must be positive and finite")
         if not numerics._is_int(self.passes) or self.passes < 1:
             raise ConfigError("passes must be an integer of at least 1")
-        if not self.algorithms:
-            raise ConfigError("algorithms must name at least one algorithm")
-        if not self.panel_profiles:
-            raise ConfigError("panel_profiles must name at least one profile")
+        if not isinstance(self.axis, SweepAxis):
+            raise ConfigError(f"axis must be a SweepAxis, got {self.axis!r}")
+        _check_members("algorithms", self.algorithms, Algorithm)
+        _check_members("panel_profiles", self.panel_profiles, PanelProfile)
         if self.values is not None:
             if not self.values:
                 raise ConfigError("values must not be empty")
@@ -98,6 +101,17 @@ class SweepSpec:
                 raise ConfigError("values must be positive integers")
             if len(set(self.values)) != len(self.values):
                 raise ConfigError("values must not repeat")
+
+
+def _check_members(name: str, value, enum_cls) -> None:
+    """Raise ConfigError unless ``value`` is a non-empty tuple of members."""
+    if not isinstance(value, tuple) or not value:
+        raise ConfigError(f"{name} must be a non-empty tuple of "
+                          f"{enum_cls.__name__} members, got {value!r}")
+    for member in value:
+        if not isinstance(member, enum_cls):
+            raise ConfigError(f"{name} must hold {enum_cls.__name__} "
+                              f"members, got {member!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +139,10 @@ def trial_channel(scenario: Scenario, cfg: ScenarioConfig, seed: int,
     """The channel realization of one trial.
 
     User positions come from the independent, reproducible generator
-    stream (seed, trial_index), so the index must be nonnegative.
+    stream (seed, trial_index), so both must be nonnegative integers.
     """
+    if not numerics._is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if not numerics._is_int(trial_index) or trial_index < 0:
         raise ConfigError(
             f"trial index must be a nonnegative integer, got {trial_index!r}")
@@ -150,21 +166,32 @@ def _run_cells(blocks, cells, rho: float, passes: int):
     the requested np, as on the raw blocks: every panel drives np outputs
     and the ones beyond its filter's width carry zeros. Short blocks
     (Mp <= K) run as they are. RMF makes a single pass. This is the one
-    runtime check of np: it must lie between 1 and Mp.
+    runtime check of np: every cell's must lie between 1 and Mp.
 
-    Yields one ChainResult per cell, in order, so that a caller holds one
-    cell's filters at a time.
+    All IIC cells go through one fold of the chain (``chain._iic_chains``,
+    the kernel of ``run_iic_chain``), whose results do not depend on which
+    cells share it: a cell's result is the same bit for bit whether it
+    runs alone, as in ``run_trial``, or with any other cells. RMF cells
+    run one at a time. Yields one ChainResult per cell, in order.
     """
     mp = blocks[0].shape[0]
-    factors = [numerics.user_side_factor(h) for h in blocks]
-    factor_rows = factors[0].shape[0]
-    for algorithm, np_outputs in cells:
+    for _, np_outputs in cells:
         if not 1 <= np_outputs <= mp:
             raise ConfigError(f"np must be between 1 and the {mp} antennas "
                               f"per panel, got {np_outputs}")
+    factors = [numerics.user_side_factor(h) for h in blocks]
+    factor_rows = factors[0].shape[0]
+    iic_widths = [min(np_outputs, factor_rows)
+                  for algorithm, np_outputs in cells
+                  if algorithm is Algorithm.IIC]
+    # popped as they are yielded, so that no result outlives its caller's
+    # use of it while the RMF cells run
+    chains = deque(_iic_chains(factors, rho, iic_widths, passes)
+                   if iic_widths else ())
+    for algorithm, np_outputs in cells:
         width = min(np_outputs, factor_rows)
         if algorithm is Algorithm.IIC:
-            result = run_iic_chain(factors, rho, width, passes)
+            result = chains.popleft()
             if width < np_outputs:
                 result = replace(result, traffic=replace(
                     result.traffic,
@@ -299,8 +326,10 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     Rows are ordered by profile, then algorithm, then axis value.
 
     Each trial's blocks are factored once and every cell shares the
-    factors (see ``_run_cells``). A cell's rate in one trial is therefore
-    ``run_trial``'s bit for bit, and the raw blocks' up to rounding.
+    factors, and a trial's IIC cells (or those of one slice) fold the
+    chain together, in one stack (see ``_run_cells``). A cell's result
+    does not depend on the cells it runs with, so its rate in one trial
+    is ``run_trial``'s bit for bit, and the raw blocks' up to rounding.
 
     ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
     is replaced by ``spec.rho``, and its ``panel_side_m`` by each

@@ -161,8 +161,9 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
         Local Mp x K channel block.
     z_prev : ChainMessage
         Accumulator from the previous panel, checked here: finite,
-        positive definite and Hermitian as ``numerics.check_hermitian``
-        defines it, relative to scale (identity at the head of the chain).
+        Hermitian as ``numerics.check_hermitian`` defines it, relative to
+        scale (identity at the head of the chain), and positive definite,
+        which its Cholesky factorization finds.
     rho : float
         Linear SNR, positive and finite.
     np_outputs : int
@@ -186,13 +187,8 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
         raise ValueError(f"rho must be positive and finite, got {rho}")
     z = numerics._as_matrix(z_prev.z, "chain accumulator")
     numerics.check_hermitian(z)
-    values, basis = numerics.hermitian_eig(z)
-    if values.size == 0 or values[-1] <= 0.0:
-        raise NumericalDomainError(
-            "chain accumulator must be positive definite")
-
-    whiten = basis * values**-0.5
-    h_hat = np.sqrt(rho) * (h @ whiten)
+    # whitened by the Cholesky factor, as the chain's batched fold does
+    h_hat = numerics.whiten(h, numerics.cholesky(z), rho)
     w = numerics.orthonormal_range(h_hat, np_outputs)
     eq = PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
 

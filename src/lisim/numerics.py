@@ -1,21 +1,25 @@
 """Dense complex-matrix kernels used by every other module.
 
 Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
-SVD, base-2 log-determinants of Hermitian positive-definite matrices
-(``log2 det(I + X)`` among them), orthonormal range bases, the projected
-Gram ``rho (Q^H H)^H (Q^H H)`` that every captured covariance is made of,
-and the K x K user-side factor of a tall channel block. They return plain
-arrays, and ``orthonormal_range`` holds the one rank rule. All functions
-are pure and safe to call from concurrent workers. The kernels state their
-preconditions and check none: each input is checked once, by the public
-function it enters. Channel blocks and filters go through ``_as_matrix``
-(2-D, finite) in the ``chain``, ``equalizers`` and ``capacity`` functions
-that take them, every function that takes ``rho`` rejects a negative or
-non-finite one, every count must pass ``_is_int`` where it enters, and
-``iic_local_step`` also checks its accumulator for hermiticity.
+SVD, Cholesky factors and the base-2 log-determinants of Hermitian
+positive-definite matrices read off them (``log2 det(I + X)`` among them),
+whitening against a Cholesky factor, orthonormal range bases, the
+projected Gram ``rho (Q^H H)^H (Q^H H)`` that every captured covariance is
+made of, and the K x K user-side factor of a tall channel block. They
+return plain arrays, and ``numerical_rank`` holds the one rank rule. The
+SVD, Cholesky, whitening, log-determinant and rank kernels also take a
+stack of matrices and give each the bits it would get alone. All
+functions are pure and safe to call from concurrent workers. The kernels
+state their preconditions and check none: each input is checked once,
+by the public function it enters. Channel blocks and filters go through
+``_as_matrix`` (2-D, finite) in the ``chain``, ``equalizers`` and
+``capacity`` functions that take them, every function that takes ``rho``
+rejects a negative or non-finite one, every count must pass ``_is_int``
+where it enters, and ``iic_local_step`` also checks its accumulator for
+hermiticity.
 """
 
-import math
+import numbers
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .errors import NumericalDomainError
 TOL_HERMITIAN = 1e-10
 
 #: Relative cutoff (vs. the largest singular value) for rank decisions;
-#: read only by ``orthonormal_range``.
+#: read only by ``numerical_rank``.
 RANK_TOL = 1e-10
 
 
@@ -43,6 +47,11 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _is_int(value) -> bool:
     """True for an int or numpy integer; a bool is not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a real number (int, float or numpy scalar), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_hermitian(a: np.ndarray) -> None:
@@ -68,6 +77,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     ``a`` must be a finite square ndarray, Hermitian as
     ``check_hermitian`` defines it; only its lower triangle is read.
     ``values`` is sorted descending, and both arrays are contiguous.
+    Nothing in lisim calls it since the chain whitens with the Cholesky
+    factor; it stays because ``benchmarks/tracing.py`` traces this name.
     """
     values, basis = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending
@@ -76,9 +87,40 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray]:
-    """Left factor ``(U, s)`` of the thin SVD of a finite 2-D ndarray."""
+    """Left factor ``(U, s)`` of the thin SVD of a finite ndarray or stack."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u, s
+
+
+def cholesky(a) -> np.ndarray:
+    """Lower Cholesky factor ``L``, ``A = L L^H``, of a matrix or stack.
+
+    ``a`` must be square and Hermitian as ``check_hermitian`` defines it;
+    only its lower triangle is read. Raises NumericalDomainError if a
+    matrix is not positive definite; one with non-finite entries is
+    reported as a non-finite log-determinant, the value the chain reads
+    off each factor of its accumulator.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        if not np.isfinite(a).all():
+            raise NumericalDomainError("log-determinant is not finite: "
+                                       "non-finite matrix entries") from exc
+        raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
+
+
+def logdet2_factor(chol):
+    """Base-2 log-determinant of ``L L^H`` from its Cholesky factor ``L``.
+
+    One value per factor of a stack; raises NumericalDomainError if a
+    value is not finite.
+    """
+    diagonal = np.diagonal(chol, axis1=-2, axis2=-1).real
+    value = 2.0 * np.log2(diagonal).sum(axis=-1)
+    if not np.isfinite(value).all():
+        raise NumericalDomainError(f"log-determinant is not finite: {value}")
+    return value
 
 
 def logdet2_hpd(a) -> float:
@@ -94,17 +136,21 @@ def logdet2_hpd(a) -> float:
     NumericalDomainError
         If the input is not positive definite, or the result is not finite.
     """
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        if not np.isfinite(a).all():
-            raise NumericalDomainError("log-determinant is not finite: "
-                                       "non-finite matrix entries") from exc
-        raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
-    value = float(2.0 * np.log2(chol.diagonal().real).sum())
-    if not math.isfinite(value):
-        raise NumericalDomainError(f"log-determinant is not finite: {value}")
-    return value
+    return float(logdet2_factor(cholesky(a)))
+
+
+def whiten(h: np.ndarray, chol: np.ndarray, rho: float) -> np.ndarray:
+    """``sqrt(rho) H L^-H``: a block whitened against ``Z = L L^H``.
+
+    ``chol`` is the Cholesky factor of ``Z``, or a stack of them, which
+    gives the stack of whitened blocks. ``H Z^-1 H^H`` is the Gram of the
+    rows of ``H L^-H`` and of ``H Z^-1/2`` alike, so any square root of
+    ``Z`` whitens to the same left singular vectors.
+    """
+    # b as a stack of matrices, as numpy >= 2 would broadcast it
+    rhs = np.broadcast_to(h.conj().T, chol.shape[:-1] + h.shape[:1])
+    solved = np.linalg.solve(chol, rhs)
+    return np.sqrt(rho) * np.swapaxes(solved.conj(), -1, -2)
 
 
 def logdet2_eye_plus(x: np.ndarray) -> float:
@@ -140,14 +186,24 @@ def user_side_factor(h: np.ndarray) -> np.ndarray:
     return np.linalg.qr(h, mode="r")
 
 
+def numerical_rank(s):
+    """Count of singular values above ``RANK_TOL`` times the largest.
+
+    ``s`` holds one matrix's singular values, or one row per matrix of a
+    stack; the count is 0 for a zero or empty matrix. This is the one
+    rank rule of every filter.
+    """
+    cutoff = RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
+    return (s > cutoff).sum(axis=-1)
+
+
 def orthonormal_range(a, n=None) -> np.ndarray:
     """Orthonormal basis of the dominant column space of a finite 2-D ``a``.
 
     Returns the leading left singular vectors whose singular value
-    exceeds ``RANK_TOL`` times the largest one, at most ``n`` of them: the
-    width is ``min(n, rank)``, the rank when ``n`` is None, 0 for a zero
-    or empty ``a``. This is the one rank rule of every filter.
+    passes ``numerical_rank``, at most ``n`` of them: the width is
+    ``min(n, rank)``, the rank when ``n`` is None.
     """
     u, s = svd(a)
-    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
+    rank = int(numerical_rank(s))
     return u[:, : rank if n is None else min(n, rank)]

@@ -6,6 +6,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# A randomized search of 1000 draws per property, for a run by hand:
+#   python -m pytest tests/test_properties.py --hypothesis-profile deep
+# The default profile is left as Hypothesis defines it.
+settings.register_profile("deep", max_examples=1000, derandomize=False,
+                          deadline=None, database=None)
 
 
 @pytest.fixture

@@ -31,6 +31,10 @@ class TestScenarioConfig:
         {"min_user_depth_m": 30.0},       # as deep as the room
         {"users_k": 2.5},
         {"users_k": True},
+        {"lis_width_m": "10"},            # math.isfinite raised TypeError
+        {"snr_rho": None},
+        {"wavelength_m": [0.05]},
+        {"room_depth_m": True},
     ])
     def test_rejects_bad_values(self, cfg, overrides):
         with pytest.raises(ConfigError):

@@ -134,6 +134,13 @@ class TestRunTrial:
             with pytest.raises(ConfigError, match="trial index"):
                 cli.trial_channel(build_scenario(cfg, 16), cfg, 42, index)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7", None])
+    def test_trial_channel_rejects_bad_seed(self, seed):
+        # numpy would raise its own TypeError or ValueError on these
+        cfg = tiny_cfg()
+        with pytest.raises(ConfigError, match="seed"):
+            cli.trial_channel(build_scenario(cfg, 16), cfg, seed, 0)
+
 
 class TestRunSweep:
     def test_row_cardinality_and_order(self):
@@ -491,9 +498,25 @@ class TestConfigIngestion:
         {"trials": 0}, {"trials": 2.5}, {"seed": -1}, {"seed": 1.5},
         {"passes": 0}, {"passes": 1.5}, {"values": ()}, {"values": (0,)},
         {"values": ("a",)}, {"values": (2.0,)}, {"algorithms": ()},
-        {"panel_profiles": ()}])
+        {"panel_profiles": ()}, {"rho": "1"}, {"rho": None}, {"rho": True}])
     def test_sweep_spec_rejects_bad_values(self, change):
         # replace builds a new SweepSpec, so it checks the change too
+        (key,) = change
+        with pytest.raises(ConfigError, match=key):
+            replace(SweepSpec(), **change)
+
+    @pytest.mark.parametrize("change", [
+        {"axis": "np"}, {"axis": None}, {"axis": Algorithm.IIC},
+        {"algorithms": ("iic",)}, {"algorithms": [Algorithm.IIC]},
+        {"algorithms": (Algorithm.IIC, "rmf")}, {"algorithms": Algorithm.IIC},
+        {"algorithms": (PanelProfile.SMALL,)},
+        {"panel_profiles": ("small",)},
+        {"panel_profiles": [PanelProfile.SMALL]},
+        {"panel_profiles": PanelProfile.SMALL},
+        {"panel_profiles": (Algorithm.RMF,)}])
+    def test_sweep_spec_rejects_non_members(self, change):
+        # a string axis ran as the total-outputs axis, and a string
+        # algorithm ran as RMF before failing
         (key,) = change
         with pytest.raises(ConfigError, match=key):
             replace(SweepSpec(), **change)

@@ -8,8 +8,9 @@ factors to their K x K triangle, more antennas than users. The SNR spans
 rho in [1e-8, 1e9] and IIC runs one to three passes.
 
 The draws are derandomized so the suite is reproducible. A randomized
-search over the same space finds the two rounding defects pinned by the
-``xfail`` tests at the end.
+search over the same space, ``--hypothesis-profile deep`` (registered in
+``conftest.py``), finds the two rounding defects pinned by the ``xfail``
+tests at the end.
 """
 
 import numpy as np
@@ -20,10 +21,15 @@ from hypothesis import strategies as st
 from lisim import capacity, chain, numerics
 from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
 from lisim.chain import Algorithm
+from lisim.equalizers import ChainMessage, EqualizerSet, iic_local_step
 from lisim.errors import NumericalDomainError
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
-                             derandomize=True, database=None)
+#: 40 derandomized draws, unless a profile other than Hypothesis's
+#: default was selected on the command line; then that profile's.
+PROPERTY_SETTINGS = (settings(max_examples=40, deadline=None,
+                              derandomize=True, database=None)
+                     if settings.get_current_profile_name() == "default"
+                     else settings())
 
 
 @st.composite
@@ -125,6 +131,13 @@ def test_outputs_above_block_rank_change_nothing(inputs):
     assert above.traffic.backplane_scalars_per_use == len(blocks) * mp
 
 
+def _rounding_bits(blocks, rho):
+    """About the rounding of forming ``I + rho H^H H``, in bits."""
+    k = blocks[0].shape[1]
+    return (k * rho * np.linalg.norm(np.vstack(blocks), 2) ** 2
+            * np.finfo(float).eps / np.log(2.0))
+
+
 def _rates(blocks, rho, np_outputs, passes):
     """IIC rate, RMF rate and the ceiling of one chain."""
     return (chain.run_iic_chain(blocks, rho, np_outputs, passes)
@@ -153,10 +166,56 @@ def test_factored_blocks_keep_every_rate(inputs, data):
     factored = _rates(factors, rho, min(np_outputs, k), passes)
     # one rotation's deviation is a noisy sample of the rounding in forming
     # I + rho H^H H, about K rho lambda_max eps per eigenvalue
-    rounding = (k * rho * np.linalg.norm(np.vstack(blocks), 2) ** 2
-                * np.finfo(float).eps / np.log(2.0))
+    rounding = _rounding_bits(blocks, rho)
     for r, u, f in zip(raw, rotated, factored):
         assert abs(f - r) <= max(1e-9, 4.0 * abs(u - r), 4.0 * rounding)
+
+
+def _local_step_fold(blocks, rho, np_outputs, passes):
+    """Filters of a chain folded one ``iic_local_step`` at a time."""
+    msg = ChainMessage.initial(blocks[0].shape[1])
+    filters = [None] * len(blocks)
+    for pass_index in range(passes):
+        for i, h in enumerate(blocks):
+            if pass_index:
+                msg = ChainMessage(msg.z - numerics.projected_gram(
+                    filters[i].w, h, rho), msg.hop_index)
+            filters[i], _, msg = iic_local_step(h, msg, rho, np_outputs)
+    return EqualizerSet(per_panel=tuple(filters))
+
+
+# The fold itself, not run_iic_chain: its ceiling check would stop a
+# draw on the rank-one rounding defect pinned by the xfails below.
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)))
+def test_batched_fold_is_a_fold_of_the_local_step(inputs):
+    blocks, rho, passes, _ = inputs
+    widths = list(range(1, blocks[0].shape[0] + 1))
+    tol = max(1e-9, 4.0 * _rounding_bits(blocks, rho))
+    for width, (_, trace) in zip(widths,
+                                 chain._iic_fold(blocks, rho, widths, passes)):
+        eq = _local_step_fold(blocks, rho, width, passes)
+        rate = capacity.sum_rate_panelized(blocks, eq, rho)
+        assert abs(trace[-1] - rate) <= tol
+        np.testing.assert_allclose(
+            trace, capacity.chain_capacity_trace(blocks, eq, rho),
+            rtol=0.0, atol=tol)
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
+       st.data())
+def test_a_cell_does_not_depend_on_its_batch(inputs, data):
+    blocks, rho, passes, _ = inputs
+    mp = blocks[0].shape[0]
+    widths = data.draw(st.lists(st.integers(1, mp), min_size=1, max_size=4))
+    batch = chain._iic_fold(blocks, rho, widths, passes)
+    for width, (eq, trace) in zip(widths, batch):
+        ((alone_eq, alone_trace),) = chain._iic_fold(blocks, rho, [width],
+                                                      passes)
+        np.testing.assert_array_equal(trace, alone_trace)
+        for a, b in zip(eq, alone_eq):
+            np.testing.assert_array_equal(a.w, b.w)
 
 
 def _one_site_blocks(p, mp, k, scale):
