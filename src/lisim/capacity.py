@@ -7,7 +7,6 @@ its column space. Rank-deficient filters therefore degrade gracefully to
 a lower-rank projector instead of requiring an explicit Gram inverse.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ class CapacityReport:
 
 def _check_rho(rho: float) -> None:
     # rho = 0 is a valid zero rate; a negative rho would give a negative one
-    if not 0.0 <= rho < math.inf:
+    if not numerics._is_finite_real(rho) or rho < 0.0:
         raise NumericalDomainError(f"rho must be finite and >= 0, got {rho}")
 
 

@@ -1,21 +1,24 @@
 """Daisy-chain and centralized execution of the panel algorithms.
 
-A chain run folds the local interference-cancellation step over the
-panels in scenario order, threading the Hermitian K x K accumulator from
-panel to panel. Further passes continue the same fold: each panel then
-steps against the accumulator less its own previous contribution.
-Chains over the same blocks at several output widths fold together,
-their accumulators stacked, and each gets the bits it would get alone.
-Centralized execution reuses the exact same fold, so the resulting
-filters are bit-identical; only the interconnect accounting changes
-(full CSI upload instead of panel-to-panel messages).
+One runner, ``_chains``, takes a list of ``(algorithm, np)`` cells over
+the same channel blocks and scores each against the blocks' one
+channel-capacity ceiling; ``run_iic_chain``, ``run_rmf`` and
+``run_centralized`` are its one-cell calls. An IIC chain folds the local
+interference-cancellation step over the panels in scenario order,
+threading the Hermitian K x K accumulator from panel to panel. Further
+passes continue the same fold: each panel then steps against the
+accumulator less its own previous contribution. Chains over the same
+blocks at several output widths fold together, their accumulators
+stacked, and each gets the bits it would get alone. Centralized
+execution reuses the exact same runner, so the resulting filters are
+bit-identical; only the interconnect accounting changes (full CSI upload
+instead of panel-to-panel messages).
 
 Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -58,34 +61,6 @@ class ChainResult:
     passes_executed: int
 
 
-def _validate_blocks(blocks, widths, rho: float):
-    if not blocks:
-        raise ConfigError("at least one channel block is required")
-    blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
-    k = blocks[0].shape[1]
-    if any(b.shape[1] != k for b in blocks):
-        raise ConfigError("all channel blocks must share the user dimension")
-    rows = min(b.shape[0] for b in blocks)
-    for np_outputs in widths:
-        if not numerics._is_int(np_outputs) or np_outputs < 1:
-            raise ConfigError("np_outputs must be an integer of at least 1")
-        if np_outputs > rows:
-            raise ConfigError(
-                "np_outputs cannot exceed the panel antenna count")
-    if not 0.0 < rho < math.inf:
-        raise ConfigError(f"rho must be positive and finite, got {rho}")
-    return blocks, k
-
-
-def _build_report(sum_rate: float, trace: np.ndarray,
-                  ceiling: float) -> capacity.CapacityReport:
-    report = capacity.CapacityReport(
-        sum_rate_bits=sum_rate, per_panel_cumulative=trace,
-        channel_capacity_bits=ceiling)
-    report.validate()
-    return report
-
-
 def run_iic_chain(blocks, rho: float, np_outputs: int,
                   passes: int = 1) -> ChainResult:
     """Decentralized interference-cancellation run over a panel chain.
@@ -104,9 +79,9 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     ``capacity.chain_capacity_trace`` of the filters: read off the next
     step's Cholesky factor in a single pass, else computed by it.
 
-    This is the one-cell call of the fold that ``lisim.cli`` runs on all
-    of a trial's IIC cells at once (``_iic_chains``); a cell's result does
-    not depend on the cells it shares that fold with.
+    This is the one-cell call of ``_chains``, the runner that
+    ``lisim.cli`` gives all of a trial's cells at once; a cell's result
+    does not depend on the cells it runs with.
 
     Parameters
     ----------
@@ -119,38 +94,78 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     passes : int
         Number of sweeps over the chain, at least 1.
     """
-    (result,) = _iic_chains(blocks, rho, (np_outputs,), passes)
+    (result,) = _chains(blocks, rho, [(Algorithm.IIC, np_outputs)], passes)
     return result
 
 
-def _iic_chains(blocks, rho: float, widths, passes: int):
-    """``run_iic_chain`` of the blocks at each width, folded together.
+def _chains(blocks, rho: float, cells, passes: int, max_np=None,
+            centralized: bool = False):
+    """One ChainResult per ``(algorithm, np)`` cell of the blocks, in order.
 
-    Checks its arguments as ``run_iic_chain`` does, runs ``_iic_fold``
-    once for all widths and returns one ChainResult per width, in order.
-    The blocks' ceiling is computed once and shared by every report.
+    Checks the blocks, ``rho``, ``passes`` and every np, which lies
+    between 1 and ``max_np``: by default the blocks' fewest rows, the raw
+    Mp for a caller running on ``numerics.user_side_factor`` factors. No
+    filter keeps more columns than a block has rows (IIC keeps
+    ``min(np, rank)``, RMF at most K), so np goes in as requested, and
+    IIC counts ``P np`` backplane outputs, the ones beyond a filter's
+    width carrying zeros. The IIC cells fold together before the first
+    cell is yielded; RMF cells are built as they are yielded. Every
+    report is checked against one ceiling, computed after the first rate
+    so that an overflowing rate reports its own error. A cell's result is
+    the same bit for bit whichever cells share the call. ``centralized``
+    counts a central unit's CSI upload in place of chain messages.
     """
-    blocks, k = _validate_blocks(blocks, widths, rho)
+    if not blocks:
+        raise ConfigError("at least one channel block is required")
+    blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
+    p, k = len(blocks), blocks[0].shape[1]
+    if any(b.shape[1] != k for b in blocks):
+        raise ConfigError("all channel blocks must share the user dimension")
+    if max_np is None:
+        max_np = min(b.shape[0] for b in blocks)
+    for _, np_outputs in cells:
+        if not numerics._is_int(np_outputs):
+            raise ConfigError(
+                f"np_outputs must be an integer, got {np_outputs!r}")
+        if not 1 <= np_outputs <= max_np:
+            raise ConfigError(f"np must be between 1 and the {max_np} "
+                              f"antennas per panel, got {np_outputs}")
+    if not numerics._is_finite_real(rho) or rho <= 0.0:
+        raise ConfigError(f"rho must be positive and finite, got {rho}")
     if not numerics._is_int(passes) or passes < 1:
         raise ConfigError("passes must be an integer of at least 1")
-    folds = _iic_fold(blocks, rho, widths, passes)
-    ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
-    p = len(blocks)
-    results = []
-    for np_outputs, (eq_set, trace) in zip(widths, folds):
-        # every panel drives np backplane outputs; a rank-deficient panel's
-        # filter is narrower, and its unused outputs carry zeros
+    widths = [np_outputs for algorithm, np_outputs in cells
+              if algorithm is Algorithm.IIC]
+    # reversed and popped as the cells are yielded, so that no filter
+    # outlives its caller's use of it while the RMF cells run
+    folds = _iic_fold(blocks, rho, widths, passes)[::-1] if widths else []
+    ceiling = None
+    for algorithm, np_outputs in cells:
+        iic = algorithm is Algorithm.IIC
+        if iic:
+            eq_set, trace = folds.pop()
+            rate = float(trace[-1])
+        else:
+            eq_set = EqualizerSet(per_panel=tuple(
+                rmf_filter(h, np_outputs) for h in blocks))
+            trace = np.zeros(0)
+            rate = capacity.sum_rate_panelized(blocks, eq_set, rho)
+        if ceiling is None:
+            ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
+        report = capacity.CapacityReport(
+            sum_rate_bits=rate, per_panel_cumulative=trace,
+            channel_capacity_bits=ceiling)
+        report.validate()
         traffic = TrafficReport(
-            chain_complex_scalars=(p - 1) * passes * k * k,
-            backplane_scalars_per_use=p * np_outputs,
+            chain_complex_scalars=(p - 1) * passes * k * k
+            if iic and not centralized else 0,
+            backplane_scalars_per_use=p * np_outputs if iic
+            else eq_set.n_total,
             cpu_scalars_per_use=k,
-            centralized_csi_scalars=0,
-        )
-        results.append(ChainResult(
-            equalizers=eq_set,
-            report=_build_report(float(trace[-1]), trace, ceiling),
-            traffic=traffic, passes_executed=passes))
-    return results
+            centralized_csi_scalars=sum(b.shape[0] for b in blocks) * k
+            if centralized else 0)
+        yield ChainResult(equalizers=eq_set, report=report, traffic=traffic,
+                          passes_executed=passes if iic else 1)
 
 
 def _iic_fold(blocks, rho: float, widths, passes: int):
@@ -208,40 +223,22 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
 
     No panel-to-panel messages are needed, so chain traffic is zero. The
     filter construction itself does not depend on the SNR; ``rho`` only
-    enters the returned capacity report.
+    enters the returned capacity report. The one-cell call of ``_chains``.
     """
-    blocks, k = _validate_blocks(blocks, (np_outputs,), rho)
-    eq_set = EqualizerSet(per_panel=tuple(
-        rmf_filter(h, np_outputs) for h in blocks))
-    report = _build_report(
-        capacity.sum_rate_panelized(blocks, eq_set, rho), np.zeros(0),
-        capacity.channel_capacity(np.vstack(blocks), rho))
-    traffic = TrafficReport(
-        chain_complex_scalars=0,
-        backplane_scalars_per_use=eq_set.n_total,
-        cpu_scalars_per_use=k,
-        centralized_csi_scalars=0,
-    )
-    return ChainResult(equalizers=eq_set, report=report, traffic=traffic,
-                       passes_executed=1)
+    (result,) = _chains(blocks, rho, [(Algorithm.RMF, np_outputs)], 1)
+    return result
 
 
 def run_centralized(blocks, rho: float, np_outputs: int,
                     algorithm: Algorithm, passes: int = 1) -> ChainResult:
     """Same algorithms executed at a central unit holding all CSI.
 
-    Reuses the decentralized folds verbatim, so filters and capacities
+    Reuses the decentralized runner verbatim, so filters and capacities
     are bit-identical to the decentralized run; only the traffic
     accounting differs: the full M x K channel is uploaded once and no
-    panel-to-panel messages flow.
+    panel-to-panel messages flow. ``passes`` is checked for RMF too,
+    which makes a single pass.
     """
-    algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.IIC:
-        base = run_iic_chain(blocks, rho, np_outputs, passes)
-    else:
-        base = run_rmf(blocks, np_outputs, rho)
-    m_total = sum(np.asarray(b).shape[0] for b in blocks)
-    users_k = np.asarray(blocks[0]).shape[1]
-    return replace(base, traffic=replace(
-        base.traffic, chain_complex_scalars=0,
-        centralized_csi_scalars=m_total * users_k))
+    (result,) = _chains(blocks, rho, [(Algorithm(algorithm), np_outputs)],
+                        passes, centralized=True)
+    return result

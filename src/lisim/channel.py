@@ -49,8 +49,7 @@ class ScenarioConfig:
                      "room_height_m", "room_depth_m", "panel_side_m",
                      "wavelength_m", "snr_rho", "min_user_depth_m"):
             value = getattr(self, name)
-            if (not numerics._is_real(value) or not math.isfinite(value)
-                    or value <= 0.0):
+            if not numerics._is_finite_real(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be positive and finite")
         if not numerics._is_int(self.users_k) or self.users_k < 1:
             raise ConfigError("users_k must be an integer of at least 1")

@@ -14,10 +14,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical domain error,
 
 import argparse
 import json
-import math
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cache, partial
@@ -26,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-# run_iic_chain is not called here; benchmarks/tracing.py looks it up here
-from .chain import Algorithm, _iic_chains, run_iic_chain, run_rmf  # noqa: F401
+# benchmarks/tracing.py looks up run_iic_chain and run_rmf here
+from .chain import Algorithm, _chains, run_iic_chain, run_rmf  # noqa: F401
 from .channel import (ChannelRealization, ScenarioConfig, Scenario,
                       build_scenario, realize_channel, sample_users)
 from .errors import ConfigError, NumericalDomainError
@@ -85,8 +83,7 @@ class SweepSpec:
             raise ConfigError("trials must be an integer of at least 1")
         if not numerics._is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if (not numerics._is_real(self.rho) or not math.isfinite(self.rho)
-                or self.rho <= 0.0):
+        if not numerics._is_finite_real(self.rho) or self.rho <= 0.0:
             raise ConfigError("rho must be positive and finite")
         if not numerics._is_int(self.passes) or self.passes < 1:
             raise ConfigError("passes must be an integer of at least 1")
@@ -95,10 +92,11 @@ class SweepSpec:
         _check_members("algorithms", self.algorithms, Algorithm)
         _check_members("panel_profiles", self.panel_profiles, PanelProfile)
         if self.values is not None:
-            if not self.values:
-                raise ConfigError("values must not be empty")
-            if any(not numerics._is_int(v) or v < 1 for v in self.values):
-                raise ConfigError("values must be positive integers")
+            if (not isinstance(self.values, tuple) or not self.values
+                    or any(not numerics._is_int(v) or v < 1
+                           for v in self.values)):
+                raise ConfigError("values must be a non-empty tuple of "
+                                  f"positive integers, got {self.values!r}")
             if len(set(self.values)) != len(self.values):
                 raise ConfigError("values must not repeat")
 
@@ -155,62 +153,33 @@ def _run_cells(blocks, cells, rho: float, passes: int):
     """Decentralized runs of one trial's blocks, one per (algorithm, np) cell.
 
     The blocks are factored once, by ``numerics.user_side_factor``, and
-    every cell shares the factors: a tall Mp x K block becomes its K x K
+    every cell runs on the factors: a tall Mp x K block becomes its K x K
     triangle ``R`` with ``R^H R = H^H H``, which is the block rotated by
     a unitary with its zero rows dropped. Every rate depends on a block
     only through ``H^H H``, so the runs give the rates of the raw blocks
-    up to rounding. The width passed to a run is clamped to the factor's
-    row count, which is exact: an IIC filter keeps at most
-    ``rank(H) <= K`` columns and RMF at most K, so no cell asks for more
-    than the factor has. IIC's ``backplane_scalars_per_use`` still counts
-    the requested np, as on the raw blocks: every panel drives np outputs
-    and the ones beyond its filter's width carry zeros. Short blocks
-    (Mp <= K) run as they are. RMF makes a single pass. This is the one
-    runtime check of np: every cell's must lie between 1 and Mp.
-
-    All IIC cells go through one fold of the chain (``chain._iic_chains``,
-    the kernel of ``run_iic_chain``), whose results do not depend on which
-    cells share it: a cell's result is the same bit for bit whether it
-    runs alone, as in ``run_trial``, or with any other cells. RMF cells
-    run one at a time. Yields one ChainResult per cell, in order.
+    up to rounding, and their traffic reports exactly. Short blocks
+    (Mp <= K) run as they are. All cells go through one call of
+    ``chain._chains``, which checks every np against the raw blocks' Mp,
+    folds the IIC cells together and computes the ceiling once; a cell's
+    result is the same bit for bit whether it runs alone, as in
+    ``run_trial``, or with any other cells. Returns an iterator of one
+    ChainResult per cell, in order.
     """
-    mp = blocks[0].shape[0]
-    for _, np_outputs in cells:
-        if not 1 <= np_outputs <= mp:
-            raise ConfigError(f"np must be between 1 and the {mp} antennas "
-                              f"per panel, got {np_outputs}")
     factors = [numerics.user_side_factor(h) for h in blocks]
-    factor_rows = factors[0].shape[0]
-    iic_widths = [min(np_outputs, factor_rows)
-                  for algorithm, np_outputs in cells
-                  if algorithm is Algorithm.IIC]
-    # popped as they are yielded, so that no result outlives its caller's
-    # use of it while the RMF cells run
-    chains = deque(_iic_chains(factors, rho, iic_widths, passes)
-                   if iic_widths else ())
-    for algorithm, np_outputs in cells:
-        width = min(np_outputs, factor_rows)
-        if algorithm is Algorithm.IIC:
-            result = chains.popleft()
-            if width < np_outputs:
-                result = replace(result, traffic=replace(
-                    result.traffic,
-                    backplane_scalars_per_use=len(factors) * np_outputs))
-        else:
-            result = run_rmf(factors, width, rho)
-        yield result
+    return _chains(factors, rho, cells, passes, blocks[0].shape[0])
 
 
 def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
               np_outputs: int, seed: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
 
-    Runs the decentralized algorithm on the factored blocks of
-    ``trial_channel``, as ``run_sweep`` does (see ``_run_cells``), and
+    Runs the decentralized algorithm as a one-cell ``_run_cells`` on the
+    blocks of ``trial_channel``, as ``run_sweep`` runs each cell, and
     returns its ChainResult. The rates are those of the raw blocks up to
-    rounding, and the traffic report is theirs exactly. RMF ignores
-    ``passes``, and ``passes_executed`` reports the passes run.
-    Fully deterministic given (config, seed, trial_index).
+    rounding, and the traffic report is theirs exactly. ``passes`` is
+    checked for RMF too, which makes one pass; ``passes_executed``
+    reports the passes run. Fully deterministic given (config, seed,
+    trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
     (result,) = _run_cells(chan.blocks, [(Algorithm(algorithm), np_outputs)],
@@ -325,11 +294,12 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     byte for byte on one CPU or many.
     Rows are ordered by profile, then algorithm, then axis value.
 
-    Each trial's blocks are factored once and every cell shares the
-    factors, and a trial's IIC cells (or those of one slice) fold the
-    chain together, in one stack (see ``_run_cells``). A cell's result
-    does not depend on the cells it runs with, so its rate in one trial
-    is ``run_trial``'s bit for bit, and the raw blocks' up to rounding.
+    Each trial's cells (or those of one slice) are one ``_run_cells``
+    call: the blocks are factored once, the cells share the factors and
+    one ceiling, and the IIC cells fold the chain together, in one stack.
+    A cell's result does not depend on the cells it runs with, so its
+    rate in one trial is ``run_trial``'s bit for bit, and the raw blocks'
+    up to rounding.
 
     ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
     is replaced by ``spec.rho``, and its ``panel_side_m`` by each

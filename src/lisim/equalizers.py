@@ -16,7 +16,6 @@ Filters only matter through the column space of their matrix, so
 semi-unitary representatives are used wherever possible.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -183,7 +182,7 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     h = numerics._as_matrix(h_panel, "channel block")
     if not numerics._is_int(np_outputs) or np_outputs < 1:
         raise ValueError("np_outputs must be an integer of at least 1")
-    if not 0.0 < rho < math.inf:
+    if not numerics._is_finite_real(rho) or rho <= 0.0:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     z = numerics._as_matrix(z_prev.z, "chain accumulator")
     numerics.check_hermitian(z)

@@ -14,11 +14,12 @@ state their preconditions and check none: each input is checked once,
 by the public function it enters. Channel blocks and filters go through
 ``_as_matrix`` (2-D, finite) in the ``chain``, ``equalizers`` and
 ``capacity`` functions that take them, every function that takes ``rho``
-rejects a negative or non-finite one, every count must pass ``_is_int``
-where it enters, and ``iic_local_step`` also checks its accumulator for
-hermiticity.
+rejects a negative one or one that fails ``_is_finite_real``, every count
+must pass ``_is_int`` where it enters, and ``iic_local_step`` also checks
+its accumulator for hermiticity.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -49,9 +50,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """True for a real number (int, float or numpy scalar), not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    """True for a real number, not a bool, whose float value is finite."""
+    try:
+        return (isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int such as 10**400 has no float value
+        return False
 
 
 def check_hermitian(a: np.ndarray) -> None:

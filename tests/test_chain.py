@@ -195,6 +195,12 @@ class TestRunCentralized:
         assert cen.traffic.centralized_csi_scalars == 12 * 2
         assert cen.traffic.chain_complex_scalars == 0
 
+    def test_rmf_checks_passes(self, crandn):
+        # RMF makes one pass, but a bad pass count is still rejected
+        with pytest.raises(ConfigError, match="passes"):
+            chain.run_centralized(random_blocks(crandn, 2, 3, 2), 1.0, 1,
+                                  "rmf", passes=0)
+
     def test_accepts_algorithm_by_value(self, crandn):
         blocks = random_blocks(crandn, 2, 3, 2)
         res = chain.run_centralized(blocks, 1.0, 1, "iic")

@@ -35,6 +35,7 @@ class TestScenarioConfig:
         {"snr_rho": None},
         {"wavelength_m": [0.05]},
         {"room_depth_m": True},
+        {"snr_rho": 10**400},             # math.isfinite raised OverflowError
     ])
     def test_rejects_bad_values(self, cfg, overrides):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lisim import cli
+from lisim import capacity, cli
 from lisim.chain import Algorithm, run_iic_chain, run_rmf
 from lisim.channel import ScenarioConfig, build_scenario
 from lisim.cli import PanelProfile, SweepAxis, SweepSpec
@@ -113,8 +113,8 @@ class TestRunTrial:
             report.channel_capacity_bits, rel=1e-6)
 
     def test_rejects_np_above_antenna_count(self):
-        # the factored run could hold only 20 outputs, so the width clamp
-        # must not hide an np above the 400 antennas of a raw block
+        # a factor has only 20 rows, and np may exceed them, but not the
+        # 400 antennas of a raw block
         large = PanelProfile.LARGE
         cfg = replace(ScenarioConfig(), panel_side_m=large.panel_side_m)
         scenario = build_scenario(cfg, large.antennas_per_panel)
@@ -184,6 +184,26 @@ class TestRunSweep:
     def test_single_trial_zero_std(self):
         rows = cli.run_sweep(tiny_spec(trials=1, values=(1,)), tiny_cfg())
         assert rows[0].std_sum_rate_bits == 0.0
+
+    def test_a_trial_computes_its_ceiling_once(self, monkeypatch):
+        # the twelve cells of a small-profile trial share the one ceiling
+        # of their blocks
+        calls = []
+        real = capacity.channel_capacity
+
+        def count(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(capacity, "channel_capacity", count)
+        cfg = ScenarioConfig()
+        scenario = build_scenario(cfg, PanelProfile.SMALL.antennas_per_panel)
+        grid = cli._PROFILE_GEOMETRY[PanelProfile.SMALL][2]
+        cells = [(algo, n) for algo in Algorithm for n in grid]
+        (values,) = cli._trial_values(scenario, cfg, 42, cells, 1, [0])
+        assert len(values) == 12
+        assert len(calls) == 1
+        assert {ceiling for _, ceiling, _ in values} == {real(*calls[0])}
 
 
 class TestLargeProfileSweep:
@@ -332,8 +352,8 @@ class TestParallelTrials:
             self, tmp_path, capsys, monkeypatch, error, code):
         # one trial, two cells, two CPUs: np 4 runs in the forked worker
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "run_rmf",
-                            failing_in_child(error, cli.run_rmf))
+        monkeypatch.setattr(cli, "_chains",
+                            failing_in_child(error, cli._chains))
         with pytest.raises(error) as exc:
             cli.run_sweep(self.LARGE_SLICES)
         assert type(exc.value) is error
@@ -347,15 +367,15 @@ class TestParallelTrials:
 
     def test_killed_cell_slice_raises_instead_of_waiting(self, monkeypatch):
         parent = os.getpid()
-        real = cli.run_rmf
+        real = cli._chains
 
-        def rmf(*args):
+        def chains(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "run_rmf", rmf)
+        monkeypatch.setattr(cli, "_chains", chains)
         with pytest.raises(BrokenProcessPool):
             cli.run_sweep(self.LARGE_SLICES)
 
@@ -480,7 +500,8 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError):
             cli.resolve_config(write_config(tmp_path, values=[4, 4]), {})
 
-    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "int-overflow"])
     def test_non_finite_rho_rejected(self, rho):
         with pytest.raises(ConfigError):
             SweepSpec(rho=rho)
@@ -490,7 +511,7 @@ class TestConfigIngestion:
     @pytest.mark.parametrize("name", ["wavelength_m", "lis_width_m",
                                       "room_depth_m", "min_user_depth_m"])
     def test_non_finite_geometry_rejected(self, name):
-        for value in (float("nan"), float("inf")):
+        for value in (float("nan"), float("inf"), 10**400):
             with pytest.raises(ConfigError):
                 ScenarioConfig(**{name: value})
 
@@ -498,7 +519,9 @@ class TestConfigIngestion:
         {"trials": 0}, {"trials": 2.5}, {"seed": -1}, {"seed": 1.5},
         {"passes": 0}, {"passes": 1.5}, {"values": ()}, {"values": (0,)},
         {"values": ("a",)}, {"values": (2.0,)}, {"algorithms": ()},
-        {"panel_profiles": ()}, {"rho": "1"}, {"rho": None}, {"rho": True}])
+        {"panel_profiles": ()}, {"rho": "1"}, {"rho": None}, {"rho": True},
+        {"rho": 10**400}, {"values": 5}, {"values": [1, 2]},
+        {"values": range(1, 3)}])
     def test_sweep_spec_rejects_bad_values(self, change):
         # replace builds a new SweepSpec, so it checks the change too
         (key,) = change
@@ -632,8 +655,9 @@ class TestMain:
                                                     ("400", "4000")])
     def test_large_trial_traffic_counts_requested_np(self, capsys, np_arg,
                                                      backplane):
-        # the factored run is clamped to 20 outputs per panel; the
-        # accounting still counts every requested output of the 10 panels
+        # a filter of the factored run keeps at most 20 outputs per panel;
+        # the accounting still counts every requested output of the 10
+        # panels
         code = cli.main(["trial", "--profile", "large", "--algo", "iic",
                          "--np", np_arg])
         assert code == 0

@@ -84,13 +84,14 @@ def _rho_calls():
     }
 
 
-@pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5],
-                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5, 10**400],
+                         ids=["nan", "inf", "negative", "int-overflow"])
 @pytest.mark.parametrize("name", sorted(_rho_calls()))
 def test_non_finite_rho_is_rejected(name, rho):
     # the kernels below each entry point check nothing, so a NaN, infinite
     # or negative SNR that got past it would come back as a NaN, inf or
-    # negative rate
+    # negative rate, and an int too large for a float would escape as
+    # numpy's OverflowError or TypeError
     error, call = _rho_calls()[name]
     with pytest.raises(error, match="rho"):
         call(rho)

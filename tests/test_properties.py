@@ -218,6 +218,53 @@ def test_a_cell_does_not_depend_on_its_batch(inputs, data):
             np.testing.assert_array_equal(a.w, b.w)
 
 
+def _outcomes(blocks, rho, cells, passes, max_np):
+    """The results of one ``chain._chains`` call, then its error, if any."""
+    out = []
+    try:
+        for result in chain._chains(blocks, rho, cells, passes, max_np):
+            out.append(result)
+    except NumericalDomainError as exc:
+        out.append(str(exc))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
+       st.data())
+def test_a_cell_runs_alike_alone_and_with_others(inputs, data):
+    # as lisim.cli runs them: on the user-side factors, with np up to the
+    # raw Mp, so that np can exceed a factor's rows
+    blocks, rho, passes, _ = inputs
+    mp = blocks[0].shape[0]
+    factors = [numerics.user_side_factor(h) for h in blocks]
+    cells = data.draw(st.lists(
+        st.tuples(st.sampled_from(list(Algorithm)), st.integers(1, mp)),
+        min_size=1, max_size=5))
+    # a run stops at its first failing report (the rank-one ceiling
+    # overshoot pinned below), so the call of all cells stops there too
+    want = []
+    for cell in cells:
+        want += _outcomes(factors, rho, [cell], passes, mp)
+        if isinstance(want[-1], str):
+            break
+    got = _outcomes(factors, rho, cells, passes, mp)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, str):
+            assert a == b
+            continue
+        for x, y in zip(a.equalizers, b.equalizers):
+            np.testing.assert_array_equal(x.w, y.w)
+        np.testing.assert_array_equal(a.report.per_panel_cumulative,
+                                      b.report.per_panel_cumulative)
+        assert a.report.sum_rate_bits == b.report.sum_rate_bits
+        assert (a.report.channel_capacity_bits
+                == b.report.channel_capacity_bits)
+        assert a.traffic == b.traffic
+        assert a.passes_executed == b.passes_executed
+
+
 def _one_site_blocks(p, mp, k, scale):
     """Blocks of a channel whose K users all stand at one site (rank 1).
 
