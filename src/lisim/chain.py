@@ -108,11 +108,11 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
     filter keeps more columns than a block has rows (IIC keeps
     ``min(np, rank)``, RMF at most K), so np goes in as requested, and
     IIC counts ``P np`` backplane outputs, the ones beyond a filter's
-    width carrying zeros. The IIC cells fold together before the first
-    cell is yielded; RMF cells are built as they are yielded. Every
-    report is checked against one ceiling, computed after the first rate
-    so that an overflowing rate reports its own error. A cell's result is
-    the same bit for bit whichever cells share the call. ``centralized``
+    width carrying zeros. The blocks' one ceiling follows these checks,
+    so an overflowing ``rho`` fails there, before any cell. The IIC cells
+    then fold together; RMF cells are built as they are yielded, and
+    every report is checked against the ceiling. A cell's result is the
+    same bit for bit whichever cells share the call. ``centralized``
     counts a central unit's CSI upload in place of chain messages.
     """
     if not blocks:
@@ -134,12 +134,12 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
         raise ConfigError(f"rho must be positive and finite, got {rho}")
     if not numerics._is_int(passes) or passes < 1:
         raise ConfigError("passes must be an integer of at least 1")
+    ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
     widths = [np_outputs for algorithm, np_outputs in cells
               if algorithm is Algorithm.IIC]
     # reversed and popped as the cells are yielded, so that no filter
     # outlives its caller's use of it while the RMF cells run
     folds = _iic_fold(blocks, rho, widths, passes)[::-1] if widths else []
-    ceiling = None
     for algorithm, np_outputs in cells:
         iic = algorithm is Algorithm.IIC
         if iic:
@@ -150,8 +150,6 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
                 rmf_filter(h, np_outputs) for h in blocks))
             trace = np.zeros(0)
             rate = capacity.sum_rate_panelized(blocks, eq_set, rho)
-        if ceiling is None:
-            ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
         report = capacity.CapacityReport(
             sum_rate_bits=rate, per_panel_cumulative=trace,
             channel_capacity_bits=ceiling)

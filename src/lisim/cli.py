@@ -574,8 +574,8 @@ def _cmd_trial(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every non-finite rate raises in logdet2_hpd, so numpy's overflow
-        # warnings would only repeat that error
+        # numerics.cholesky rejects every non-finite Gram or accumulator,
+        # so numpy's overflow warnings would only repeat that error
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except ConfigError as exc:

@@ -16,11 +16,11 @@ by the public function it enters. Channel blocks and filters go through
 ``capacity`` functions that take them, every function that takes ``rho``
 rejects a negative one or one that fails ``_is_finite_real``, every count
 must pass ``_is_int`` where it enters, and ``iic_local_step`` also checks
-its accumulator for hermiticity.
+its accumulator for hermiticity. A Gram that overflows (rho near 1e308)
+is reported by ``cholesky`` alone.
 """
 
 import math
-import numbers
 
 import numpy as np
 
@@ -51,9 +51,9 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    """True for a real number, not a bool, whose float value is finite."""
+    """True for a finite int, float or numpy real scalar; a bool is not one."""
     try:
-        return (isinstance(value, numbers.Real)
+        return (isinstance(value, (int, float, np.integer, np.floating))
                 and not isinstance(value, bool) and math.isfinite(value))
     except OverflowError:  # an int such as 10**400 has no float value
         return False
@@ -102,44 +102,43 @@ def cholesky(a) -> np.ndarray:
 
     ``a`` must be square and Hermitian as ``check_hermitian`` defines it;
     only its lower triangle is read. Raises NumericalDomainError if a
-    matrix is not positive definite; one with non-finite entries is
-    reported as a non-finite log-determinant, the value the chain reads
-    off each factor of its accumulator.
+    matrix is not positive definite, or has non-finite entries (an
+    overflowing Gram), which LAPACK would factor or fail on by chance.
+    Those are tested first and reported as a non-finite log-determinant:
+    the one overflow error of every accumulator, rate and ceiling.
     """
+    if not np.isfinite(a).all():
+        raise NumericalDomainError("log-determinant is not finite: "
+                                   "non-finite matrix entries")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        if not np.isfinite(a).all():
-            raise NumericalDomainError("log-determinant is not finite: "
-                                       "non-finite matrix entries") from exc
         raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
 
 
 def logdet2_factor(chol):
     """Base-2 log-determinant of ``L L^H`` from its Cholesky factor ``L``.
 
-    One value per factor of a stack; raises NumericalDomainError if a
-    value is not finite.
+    One value per factor of a stack. A factor from ``cholesky`` has a
+    finite, positive diagonal, so every value is finite.
     """
     diagonal = np.diagonal(chol, axis1=-2, axis2=-1).real
-    value = 2.0 * np.log2(diagonal).sum(axis=-1)
-    if not np.isfinite(value).all():
-        raise NumericalDomainError(f"log-determinant is not finite: {value}")
-    return value
+    return 2.0 * np.log2(diagonal).sum(axis=-1)
 
 
 def logdet2_hpd(a) -> float:
     """Base-2 log-determinant of a Hermitian positive-definite matrix.
 
-    ``a`` must be a finite square ndarray, Hermitian as
-    ``check_hermitian`` defines it; only its lower triangle is read. Uses
-    a Cholesky factorization, so the determinant itself is never formed
-    and the result is safe for very large or very small determinants.
+    ``a`` must be a square ndarray, Hermitian as ``check_hermitian``
+    defines it; only its lower triangle is read. Uses ``cholesky``, so
+    the determinant itself is never formed and the result is finite for
+    very large or very small determinants.
 
     Raises
     ------
     NumericalDomainError
-        If the input is not positive definite, or the result is not finite.
+        If the input has non-finite entries (``cholesky``'s one overflow
+        message) or is not positive definite.
     """
     return float(logdet2_factor(cholesky(a)))
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ class TestScenarioConfig:
         {"wavelength_m": [0.05]},
         {"room_depth_m": True},
         {"snr_rho": 10**400},             # math.isfinite raised OverflowError
+        {"wavelength_m": Fraction(1, 2)},  # los_gain raised TypeError
     ])
     def test_rejects_bad_values(self, cfg, overrides):
         with pytest.raises(ConfigError):

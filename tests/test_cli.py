@@ -6,6 +6,7 @@ import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -520,8 +521,8 @@ class TestConfigIngestion:
         {"passes": 0}, {"passes": 1.5}, {"values": ()}, {"values": (0,)},
         {"values": ("a",)}, {"values": (2.0,)}, {"algorithms": ()},
         {"panel_profiles": ()}, {"rho": "1"}, {"rho": None}, {"rho": True},
-        {"rho": 10**400}, {"values": 5}, {"values": [1, 2]},
-        {"values": range(1, 3)}])
+        {"rho": 10**400}, {"rho": Fraction(1, 2)}, {"values": 5},
+        {"values": [1, 2]}, {"values": range(1, 3)}])
     def test_sweep_spec_rejects_bad_values(self, change):
         # replace builds a new SweepSpec, so it checks the change too
         (key,) = change
@@ -743,20 +744,28 @@ class TestMain:
 
     def test_overflowing_rate_exits_3(self, tmp_path):
         # rho = 1e308 is finite, but the Grams it scales overflow. The
-        # error is one line, with no numpy warning before it, also from the
-        # worker that a three-trial sweep forks on two or more CPUs.
+        # trial's ceiling fails first, so every algorithm and pass count
+        # gives the same one line, with no numpy warning before it, also
+        # from the worker that a three-trial sweep forks on two or more
+        # CPUs. No second IIC pass may reach the SVD with a NaN accumulator.
         out = tmp_path / "rows.csv"
-        details = {"rmf": "nan", "iic": "non-finite matrix entries"}
-        for algo, detail in details.items():
-            for argv in (["trial", "--profile", "large", "--algo", algo,
-                          "--np", "1"],
-                         ["sweep", "--profiles", "large", "--algos", algo,
-                          "--values", "1", "--trials", "3", "--out", str(out)]):
-                done = run_python("-m", "lisim.cli", *argv, "--rho", "1e308")
-                assert done.returncode == 3
-                assert done.stdout == ""
-                assert done.stderr == ("numerical error: log-determinant is "
-                                       f"not finite: {detail}\n")
+        small_iic = ["--profile", "small", "--algo", "iic", "--np", "16"]
+        argvs = [["trial", *small_iic, "--passes", "1"],
+                 ["trial", *small_iic, "--passes", "2"],
+                 ["sweep", "--profiles", "small", "--algos", "iic",
+                  "--values", "16", "--trials", "3", "--passes", "2",
+                  "--out", str(out)]]
+        for algo in ("rmf", "iic"):
+            argvs += [["trial", "--profile", "large", "--algo", algo,
+                       "--np", "1"],
+                      ["sweep", "--profiles", "large", "--algos", algo,
+                       "--values", "1", "--trials", "3", "--out", str(out)]]
+        for argv in argvs:
+            done = run_python("-m", "lisim.cli", *argv, "--rho", "1e308")
+            assert done.returncode == 3, argv
+            assert done.stdout == ""
+            assert done.stderr == ("numerical error: log-determinant is "
+                                   "not finite: non-finite matrix entries\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("profile, np_arg", [

@@ -130,6 +130,20 @@ class TestLogdet2Hpd:
             numerics.logdet2_hpd(np.diag([1.0, -np.inf]))
 
 
+class TestCholesky:
+    @pytest.mark.parametrize("bad", [
+        np.diag([np.inf, 1.0]),
+        np.full((2, 2), np.nan),
+        np.stack([np.eye(2), np.diag([np.inf, 1.0])]),
+        np.stack([np.full((2, 2), np.nan), np.eye(2)]),
+    ], ids=["inf", "nan", "stack-inf", "stack-nan"])
+    def test_rejects_non_finite_entries(self, bad):
+        # tested before LAPACK, which would return a factor for each of these
+        with pytest.raises(NumericalDomainError, match="^log-determinant is "
+                           "not finite: non-finite matrix entries$"):
+            numerics.cholesky(bad)
+
+
 class TestOrthonormalRange:
     def test_rank_one_span(self):
         q = numerics.orthonormal_range(np.array([[1.0, 2.0], [0.0, 0.0]]))

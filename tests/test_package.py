@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +85,16 @@ def _rho_calls():
     }
 
 
-@pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5, 10**400],
-                         ids=["nan", "inf", "negative", "int-overflow"])
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -0.5, 10**400,
+                                 Fraction(1, 2)],
+                         ids=["nan", "inf", "negative", "int-overflow",
+                              "fraction"])
 @pytest.mark.parametrize("name", sorted(_rho_calls()))
 def test_non_finite_rho_is_rejected(name, rho):
     # the kernels below each entry point check nothing, so a NaN, infinite
     # or negative SNR that got past it would come back as a NaN, inf or
-    # negative rate, and an int too large for a float would escape as
-    # numpy's OverflowError or TypeError
+    # negative rate, and an int too large for a float or a Fraction would
+    # escape as numpy's OverflowError, TypeError or UFuncTypeError
     error, call = _rho_calls()[name]
     with pytest.raises(error, match="rho"):
         call(rho)

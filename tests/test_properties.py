@@ -5,13 +5,16 @@ decades. Co-located users share one channel column, so a block's rank can
 fall below both its antenna count and the user count; every draw has more
 users than antennas per panel, or, for the tall blocks that the sweep
 factors to their K x K triangle, more antennas than users. The SNR spans
-rho in [1e-8, 1e9] and IIC runs one to three passes.
+rho in [1e-8, 1e9] and IIC runs one to three passes. One property draws
+P, Mp and K in 1..5 instead, with rho near overflow, in [1e280, 1.6e308].
 
 The draws are derandomized so the suite is reproducible. A randomized
 search over the same space, ``--hypothesis-profile deep`` (registered in
 ``conftest.py``), finds the two rounding defects pinned by the ``xfail``
 tests at the end.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from lisim import capacity, chain, numerics
 from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
 from lisim.chain import Algorithm
 from lisim.equalizers import ChainMessage, EqualizerSet, iic_local_step
-from lisim.errors import NumericalDomainError
+from lisim.errors import LisimError, NumericalDomainError
 
 #: 40 derandomized draws, unless a profile other than Hypothesis's
 #: default was selected on the command line; then that profile's.
@@ -42,6 +45,11 @@ def chain_inputs(draw, tall=False):
     distinct = draw(st.integers(1, k))
     rho = 10.0 ** draw(st.floats(-8.0, 9.0))
     passes = draw(st.integers(1, 3))
+    return _sited_blocks(draw, p, mp, k, distinct), rho, passes, distinct
+
+
+def _sited_blocks(draw, p, mp, k, distinct):
+    """P Mp x K blocks of K users standing at ``distinct`` sites."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (p * mp, distinct)
     base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -50,8 +58,20 @@ def chain_inputs(draw, tall=False):
     site = np.concatenate([np.arange(distinct),
                            rng.integers(0, distinct, k - distinct)])
     h = base[:, rng.permutation(site)]
-    blocks = [h[i * mp:(i + 1) * mp] for i in range(p)]
-    return blocks, rho, passes, distinct
+    return [h[i * mp:(i + 1) * mp] for i in range(p)]
+
+
+@st.composite
+def overflow_inputs(draw):
+    """(blocks, rho, passes): P, Mp and K in 1..5, rho near overflow.
+
+    Half the draws put the users at fewer sites than users.
+    """
+    p, mp, k = (draw(st.integers(1, 5)) for _ in range(3))
+    distinct = draw(st.integers(1, k)) if draw(st.booleans()) else k
+    rho = 10.0 ** draw(st.floats(280.0, math.log10(1.6e308)))
+    passes = draw(st.integers(1, 3))
+    return _sited_blocks(draw, p, mp, k, distinct), rho, passes
 
 
 def _bits_tol(rate: float) -> float:
@@ -263,6 +283,31 @@ def test_a_cell_runs_alike_alone_and_with_others(inputs, data):
                 == b.report.channel_capacity_bits)
         assert a.traffic == b.traffic
         assert a.passes_executed == b.passes_executed
+
+
+@PROPERTY_SETTINGS
+@given(overflow_inputs(), st.data())
+def test_overflow_is_a_lisim_error(inputs, data):
+    # near rho = 1e308 a Gram, an accumulator or the ceiling can overflow;
+    # a run then fails with the one overflow line of numerics.cholesky,
+    # never with numpy's LinAlgError from a later kernel or a NaN rate
+    blocks, rho, passes = inputs
+    cells = data.draw(st.lists(
+        st.tuples(st.sampled_from(list(Algorithm)),
+                  st.integers(1, blocks[0].shape[0])),
+        min_size=1, max_size=3))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = list(chain._chains(blocks, rho, cells, passes))
+    except LisimError as exc:
+        assert ("not finite" not in str(exc) or str(exc)
+                == "log-determinant is not finite: non-finite matrix entries")
+        return
+    for result in results:
+        report = result.report
+        assert np.isfinite([report.sum_rate_bits,
+                            report.channel_capacity_bits]).all()
+        assert np.isfinite(report.per_panel_cumulative).all()
 
 
 def _one_site_blocks(p, mp, k, scale):
