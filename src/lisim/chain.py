@@ -9,7 +9,10 @@ threading the Hermitian K x K accumulator from panel to panel. Further
 passes continue the same fold: each panel then steps against the
 accumulator less its own previous contribution. Chains over the same
 blocks at several output widths fold together, their accumulators
-stacked, and each gets the bits it would get alone. Centralized
+stacked, and each gets the bits it would get alone. The RMF cells of a
+call read their filters off one stack of the blocks and one column
+order, and each is scored by stacked SVDs and one K x K Gram over its
+panels, never panel by panel. Centralized
 execution reuses the exact same runner, so the resulting filters are
 bit-identical; only the interconnect accounting changes (full CSI upload
 instead of panel-to-panel messages).
@@ -24,11 +27,17 @@ from enum import Enum
 import numpy as np
 
 from . import capacity, numerics
-# iic_local_step is the reference step the fold reproduces; it stays
-# importable here, where benchmarks/tracing.py looks it up
+# iic_local_step and rmf_filter are the references that the IIC fold and
+# the stacked RMF cells reproduce; they stay importable here, where
+# benchmarks/tracing.py looks them up
 from .equalizers import (EqualizerKind, EqualizerSet, PanelEqualizer,
                          iic_local_step, rmf_filter)  # noqa: F401
 from .errors import ConfigError
+
+
+#: Panels per stacked SVD and Gram product of an RMF cell: slices keep a
+#: cell's temporaries small next to its filters, at no cost in speed.
+_RMF_SLICE = 32
 
 
 class Algorithm(Enum):
@@ -86,7 +95,8 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     Parameters
     ----------
     blocks : sequence of array_like
-        Per-panel Mp x K channel blocks in chain order.
+        Per-panel Mp x K channel blocks in chain order, all of one shape;
+        blocks of different shapes raise ConfigError.
     rho : float
         Linear SNR.
     np_outputs : int
@@ -102,27 +112,31 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
             centralized: bool = False):
     """One ChainResult per ``(algorithm, np)`` cell of the blocks, in order.
 
-    Checks the blocks, ``rho``, ``passes`` and every np, which lies
-    between 1 and ``max_np``: by default the blocks' fewest rows, the raw
-    Mp for a caller running on ``numerics.user_side_factor`` factors. No
-    filter keeps more columns than a block has rows (IIC keeps
-    ``min(np, rank)``, RMF at most K), so np goes in as requested, and
-    IIC counts ``P np`` backplane outputs, the ones beyond a filter's
-    width carrying zeros. The blocks' one ceiling follows these checks,
-    so an overflowing ``rho`` fails there, before any cell. The IIC cells
-    then fold together; RMF cells are built as they are yielded, and
-    every report is checked against the ceiling. A cell's result is the
+    Checks the blocks, which must all have one Mp x K shape, ``rho``,
+    ``passes`` and every np, which lies between 1 and ``max_np``: by
+    default the blocks' Mp, the raw Mp for a caller running on
+    ``numerics.user_side_factor`` factors. No filter keeps more columns
+    than a block has rows (IIC keeps ``min(np, rank)``, RMF at most K),
+    so np goes in as requested, and IIC counts ``P np`` backplane
+    outputs, the ones beyond a filter's width carrying zeros. The blocks'
+    one ceiling follows these checks, so an overflowing ``rho`` fails
+    there, before any cell. The IIC cells then fold together. RMF cells
+    are built as they are yielded, by ``_rmf_cell`` from the one stack
+    and column order that ``_rmf_order`` makes at the first of them.
+    Every report is checked against the ceiling. A cell's result is the
     same bit for bit whichever cells share the call. ``centralized``
     counts a central unit's CSI upload in place of chain messages.
     """
     if not blocks:
         raise ConfigError("at least one channel block is required")
     blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
-    p, k = len(blocks), blocks[0].shape[1]
-    if any(b.shape[1] != k for b in blocks):
-        raise ConfigError("all channel blocks must share the user dimension")
+    p, (mp, k) = len(blocks), blocks[0].shape
+    for b in blocks:
+        if b.shape != (mp, k):
+            raise ConfigError("all channel blocks must share one shape, got "
+                              f"{(mp, k)} and {b.shape}")
     if max_np is None:
-        max_np = min(b.shape[0] for b in blocks)
+        max_np = mp
     for _, np_outputs in cells:
         if not numerics._is_int(np_outputs):
             raise ConfigError(
@@ -140,16 +154,18 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
     # reversed and popped as the cells are yielded, so that no filter
     # outlives its caller's use of it while the RMF cells run
     folds = _iic_fold(blocks, rho, widths, passes)[::-1] if widths else []
+    rmf = None
     for algorithm, np_outputs in cells:
         iic = algorithm is Algorithm.IIC
         if iic:
             eq_set, trace = folds.pop()
             rate = float(trace[-1])
         else:
-            eq_set = EqualizerSet(per_panel=tuple(
-                rmf_filter(h, np_outputs) for h in blocks))
+            if rmf is None:
+                # stacked after the IIC fold, not beside its temporaries
+                rmf = _rmf_order(blocks)
+            eq_set, rate = _rmf_cell(*rmf, np_outputs, rho)
             trace = np.zeros(0)
-            rate = capacity.sum_rate_panelized(blocks, eq_set, rho)
         report = capacity.CapacityReport(
             sum_rate_bits=rate, per_panel_cumulative=trace,
             channel_capacity_bits=ceiling)
@@ -160,8 +176,7 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
             backplane_scalars_per_use=p * np_outputs if iic
             else eq_set.n_total,
             cpu_scalars_per_use=k,
-            centralized_csi_scalars=sum(b.shape[0] for b in blocks) * k
-            if centralized else 0)
+            centralized_csi_scalars=p * mp * k if centralized else 0)
         yield ChainResult(equalizers=eq_set, report=report, traffic=traffic,
                           passes_executed=passes if iic else 1)
 
@@ -216,12 +231,55 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     return folds
 
 
+def _rmf_order(blocks):
+    """The blocks as one P x Mp x K stack, and each block's column order.
+
+    The order is ``rmf_filter``'s: descending squared column norm, ties
+    in ascending user index. It does not depend on np, so every RMF cell
+    of a call reads its columns off this one order.
+    """
+    stack = np.stack(blocks)
+    norms = np.sum(np.abs(stack) ** 2, axis=1)
+    return stack, np.argsort(-norms, axis=-1, kind="stable")
+
+
+def _rmf_cell(stack, order, np_outputs: int, rho: float):
+    """One RMF cell over every panel at once: ``(EqualizerSet, rate)``.
+
+    The filters are ``rmf_filter``'s bit for bit, views of one
+    P x Mp x min(np, K) stack. Per slice of ``_RMF_SLICE`` panels, one
+    stacked SVD gives each filter's left singular vectors ``U``, of
+    which ``capacity.sum_rate_panelized`` keeps the leading
+    ``numerical_rank``; here the rows of ``T = U^H H`` past a panel's
+    rank are zeroed instead, which drops them from the one K x K Gram
+    ``sum_i T_i^H T_i``, summed slice by slice. The rate is that of
+    ``sum_rate_panelized`` up to the rounding of its summation order.
+    """
+    w = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
+    k = stack.shape[2]
+    gram = np.zeros((k, k), dtype=complex)
+    for lo in range(0, len(w), _RMF_SLICE):
+        u, s = numerics.svd(w[lo:lo + _RMF_SLICE])
+        t = np.swapaxes(u.conj(), 1, 2) @ stack[lo:lo + _RMF_SLICE]
+        t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
+        t = t.reshape(t.shape[0] * t.shape[1], k)
+        gram += t.conj().T @ t
+    rate = numerics.logdet2_eye_plus(rho * gram)
+    eq_set = EqualizerSet(per_panel=tuple(
+        PanelEqualizer(w=h, kind=EqualizerKind.RMF, semi_unitary=False)
+        for h in w))
+    return eq_set, rate
+
+
 def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
     """Reduced-matched-filter run; every panel works from local CSI only.
 
     No panel-to-panel messages are needed, so chain traffic is zero. The
     filter construction itself does not depend on the SNR; ``rho`` only
-    enters the returned capacity report. The one-cell call of ``_chains``.
+    enters the returned capacity report. The one-cell call of ``_chains``:
+    the filters are ``rmf_filter``'s, built for all panels at once, and
+    the rate is ``capacity.sum_rate_panelized``'s up to rounding. The
+    blocks must all have one Mp x K shape; ConfigError otherwise.
     """
     (result,) = _chains(blocks, rho, [(Algorithm.RMF, np_outputs)], 1)
     return result
@@ -235,7 +293,8 @@ def run_centralized(blocks, rho: float, np_outputs: int,
     are bit-identical to the decentralized run; only the traffic
     accounting differs: the full M x K channel is uploaded once and no
     panel-to-panel messages flow. ``passes`` is checked for RMF too,
-    which makes a single pass.
+    which makes a single pass. The blocks must all have one Mp x K
+    shape; ConfigError otherwise.
     """
     (result,) = _chains(blocks, rho, [(Algorithm(algorithm), np_outputs)],
                         passes, centralized=True)

@@ -160,6 +160,19 @@ class TestRunRmf:
         with pytest.raises(NumericalDomainError, match="not finite"):
             chain.run_rmf([2 * np.eye(3, 2)] * 2, 1, 1e308)
 
+    def test_matches_the_one_cell_reference_over_several_slices(self,
+                                                                crandn):
+        # more panels than two stacked slices hold, one of them zero
+        blocks = random_blocks(crandn, 2 * chain._RMF_SLICE + 3, 3, 5)
+        blocks[chain._RMF_SLICE] = np.zeros((3, 5))
+        res = chain.run_rmf(blocks, 2, rho=2.0)
+        ref = chain.EqualizerSet(tuple(equalizers.rmf_filter(h, 2)
+                                       for h in blocks))
+        for a, b in zip(res.equalizers, ref, strict=True):
+            np.testing.assert_array_equal(a.w, b.w)
+        assert res.report.sum_rate_bits == pytest.approx(
+            capacity.sum_rate_panelized(blocks, ref, 2.0), abs=1e-9)
+
     def test_identical_blocks_identical_selections(self, crandn):
         h = crandn(4, 5)
         res = chain.run_rmf([h, h], 2, rho=1.0)
@@ -205,3 +218,15 @@ class TestRunCentralized:
         blocks = random_blocks(crandn, 2, 3, 2)
         res = chain.run_centralized(blocks, 1.0, 1, "iic")
         assert res.passes_executed == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda blocks: chain.run_rmf(blocks, 1, 1.0),
+    lambda blocks: chain.run_iic_chain(blocks, 1.0, 1),
+    lambda blocks: chain.run_centralized(blocks, 1.0, 1, "rmf"),
+], ids=["run_rmf", "run_iic_chain", "run_centralized"])
+def test_blocks_of_two_shapes_are_rejected(crandn, run):
+    # the RMF cells stack the blocks, so every block has one shape
+    with pytest.raises(ConfigError,
+                       match=r"one shape, got \(3, 2\) and \(4, 2\)"):
+        run([crandn(3, 2), crandn(4, 2)])
