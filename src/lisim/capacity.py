@@ -27,7 +27,8 @@ class CapacityReport:
     """Per-trial capacity summary.
 
     ``per_panel_cumulative`` holds the running sum rate after each panel
-    of a chain run and is empty for algorithms without a chain pass.
+    of a chain run. It is empty for algorithms without a chain pass, and
+    for a full-width cell answered from the ceiling without running.
     """
 
     sum_rate_bits: float

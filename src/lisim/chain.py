@@ -62,9 +62,13 @@ class TrafficReport:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Filters, capacity report, traffic accounting, and pass count."""
+    """Filters, capacity report, traffic accounting, and pass count.
 
-    equalizers: EqualizerSet
+    ``equalizers`` is None for a full-width cell that ``_chains`` answered
+    from the ceiling instead of building its filters.
+    """
+
+    equalizers: EqualizerSet | None
     report: capacity.CapacityReport
     traffic: TrafficReport
     passes_executed: int
@@ -85,8 +89,9 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     the difference goes to the step as computed. Each step is
     ``iic_local_step``'s, whitened by the same Cholesky factor, so the
     filters are a fold of it bit for bit. The report's trace is
-    ``capacity.chain_capacity_trace`` of the filters: read off the next
-    step's Cholesky factor in a single pass, else computed by it.
+    ``capacity.chain_capacity_trace`` of the filters bit for bit: read off
+    the next step's Cholesky factor in a single pass, else off the factor
+    of the last pass's running sum of its Grams.
 
     This is the one-cell call of ``_chains``, the runner that
     ``lisim.cli`` gives all of a trial's cells at once; a cell's result
@@ -109,7 +114,7 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
 
 
 def _chains(blocks, rho: float, cells, passes: int, max_np=None,
-            centralized: bool = False):
+            centralized: bool = False, full_width_from_ceiling: bool = False):
     """One ChainResult per ``(algorithm, np)`` cell of the blocks, in order.
 
     Checks the blocks, which must all have one Mp x K shape, ``rho``,
@@ -126,6 +131,14 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
     Every report is checked against the ceiling. A cell's result is the
     same bit for bit whichever cells share the call. ``centralized``
     counts a central unit's CSI upload in place of chain messages.
+
+    With ``full_width_from_ceiling``, a full-width cell is not run: IIC
+    with np at least the blocks' row count, or RMF with np at least K,
+    keeps every block's whole column space, so its rate is the ceiling.
+    Its result has that rate, an empty trace, no equalizers and the
+    traffic and passes a run would report. Only a caller that reads no
+    more than the rate may ask for this; the one-cell calls below keep
+    the full fold, which the acceptance criteria test.
     """
     if not blocks:
         raise ConfigError("at least one channel block is required")
@@ -149,15 +162,21 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
     if not numerics._is_int(passes) or passes < 1:
         raise ConfigError("passes must be an integer of at least 1")
     ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
+    full_width = {(algorithm, np_outputs) for algorithm, np_outputs in cells
+                  if full_width_from_ceiling and np_outputs
+                  >= (mp if algorithm is Algorithm.IIC else k)}
     widths = [np_outputs for algorithm, np_outputs in cells
-              if algorithm is Algorithm.IIC]
+              if algorithm is Algorithm.IIC
+              and (algorithm, np_outputs) not in full_width]
     # reversed and popped as the cells are yielded, so that no filter
     # outlives its caller's use of it while the RMF cells run
     folds = _iic_fold(blocks, rho, widths, passes)[::-1] if widths else []
     rmf = None
     for algorithm, np_outputs in cells:
         iic = algorithm is Algorithm.IIC
-        if iic:
+        if (algorithm, np_outputs) in full_width:
+            eq_set, rate, trace = None, ceiling, np.zeros(0)
+        elif iic:
             eq_set, trace = folds.pop()
             rate = float(trace[-1])
         else:
@@ -173,8 +192,8 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
         traffic = TrafficReport(
             chain_complex_scalars=(p - 1) * passes * k * k
             if iic and not centralized else 0,
-            backplane_scalars_per_use=p * np_outputs if iic
-            else eq_set.n_total,
+            backplane_scalars_per_use=p * (np_outputs if iic
+                                           else min(np_outputs, k)),
             cpu_scalars_per_use=k,
             centralized_csi_scalars=p * mp * k if centralized else 0)
         yield ChainResult(equalizers=eq_set, report=report, traffic=traffic,
@@ -193,16 +212,22 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     chain's filters do not depend on the other widths.
 
     Returns one ``(EqualizerSet, trace)`` per width, with the trace of
-    ``capacity.chain_capacity_trace``. A single pass reads entry i off
-    the Cholesky factor of ``I + G_0 + ... + G_i``, which is the next
-    step's (one more factorization follows the last panel); more passes
-    call ``chain_capacity_trace``. The blocks must be checked already.
+    ``capacity.chain_capacity_trace`` bit for bit. A single pass reads
+    entry i off the Cholesky factor of ``I + G_0 + ... + G_i``, which is
+    the next step's (one more factorization follows the last panel).
+    With more passes, the last one also sums its Grams from I, in
+    ``chain_capacity_trace``'s order, and reads entry i off the stacked
+    factor of ``I + G_0 + ... + G_i``. The blocks must be checked already.
     """
     k = blocks[0].shape[1]
-    z = np.tile(np.eye(k, dtype=complex), (len(widths), 1, 1))
+    identity = np.tile(np.eye(k, dtype=complex), (len(widths), 1, 1))
+    z = identity.copy()
     filters = [[None] * len(blocks) for _ in widths]
     traces = np.empty((len(widths), len(blocks)))
     for pass_index in range(passes):
+        # the last of several passes sums its Grams from I again, for the
+        # trace; keeping every Gram instead raises the peak memory
+        prefix = identity.copy() if 0 < pass_index == passes - 1 else None
         for i, h in enumerate(blocks):
             if pass_index:
                 # leave out each panel's contribution from the previous pass
@@ -217,18 +242,18 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
                 # a copy, so that the filters do not keep every u alive
                 w = u[c, :, :min(width, rank)].copy()
                 filters[c][i] = w
-                z[c] += numerics.projected_gram(w, h, rho)
+                gram = numerics.projected_gram(w, h, rho)
+                z[c] += gram
+                if prefix is not None:
+                    prefix[c] += gram
+            if prefix is not None:
+                traces[:, i] = numerics.logdet2_factor(
+                    numerics.cholesky(prefix))
     if passes == 1:
         traces[:, -1] = numerics.logdet2_factor(numerics.cholesky(z))
-    folds = []
-    for cell, trace in zip(filters, traces):
-        eq_set = EqualizerSet(per_panel=tuple(
-            PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
-            for w in cell))
-        if passes > 1:
-            trace = capacity.chain_capacity_trace(blocks, eq_set, rho)
-        folds.append((eq_set, trace))
-    return folds
+    return [(EqualizerSet(per_panel=tuple(
+        PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
+        for w in cell)), trace) for cell, trace in zip(filters, traces)]
 
 
 def _rmf_order(blocks):

@@ -162,11 +162,16 @@ def _run_cells(blocks, cells, rho: float, passes: int):
     ``chain._chains``, which checks every np against the raw blocks' Mp,
     folds the IIC cells together and computes the ceiling once; a cell's
     result is the same bit for bit whether it runs alone, as in
-    ``run_trial``, or with any other cells. Returns an iterator of one
-    ChainResult per cell, in order.
+    ``run_trial``, or with any other cells. A full-width cell (IIC with
+    np at least ``min(Mp, K)``, RMF with np at least K) keeps every
+    block's whole column space, so it is answered from the ceiling
+    without running: its rate is the ceiling, its trace is empty and its
+    equalizers are None, and its traffic is the run's. Returns an
+    iterator of one ChainResult per cell, in order.
     """
     factors = [numerics.user_side_factor(h) for h in blocks]
-    return _chains(factors, rho, cells, passes, blocks[0].shape[0])
+    return _chains(factors, rho, cells, passes, blocks[0].shape[0],
+                   full_width_from_ceiling=True)
 
 
 def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
@@ -176,10 +181,11 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
     Runs the decentralized algorithm as a one-cell ``_run_cells`` on the
     blocks of ``trial_channel``, as ``run_sweep`` runs each cell, and
     returns its ChainResult. The rates are those of the raw blocks up to
-    rounding, and the traffic report is theirs exactly. ``passes`` is
-    checked for RMF too, which makes one pass; ``passes_executed``
-    reports the passes run. Fully deterministic given (config, seed,
-    trial_index).
+    rounding, and the traffic report is theirs exactly. A full-width
+    cell reports the ceiling as its rate, with an empty trace and no
+    equalizers (see ``_run_cells``). ``passes`` is checked for RMF too,
+    which makes one pass; ``passes_executed`` reports the passes the
+    cell makes. Fully deterministic given (config, seed, trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
     (result,) = _run_cells(chan.blocks, [(Algorithm(algorithm), np_outputs)],

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lisim import capacity, cli
+from lisim import capacity, cli, numerics
 from lisim.chain import Algorithm, run_iic_chain, run_rmf
 from lisim.channel import ScenarioConfig, build_scenario
 from lisim.cli import PanelProfile, SweepAxis, SweepSpec
@@ -112,6 +112,30 @@ class TestRunTrial:
                                trial_index=0).report
         assert report.sum_rate_bits == pytest.approx(
             report.channel_capacity_bits, rel=1e-6)
+
+    def test_full_width_cells_make_no_svd(self, monkeypatch, crandn):
+        # tall blocks, factored to 3 x 3: IIC from np = 3 and RMF from
+        # np = K = 3 keep every block's range, so no filter is built
+        calls = []
+
+        def svd(a):
+            calls.append(a.shape)
+            return real(a)
+
+        real = numerics.svd
+        monkeypatch.setattr(numerics, "svd", svd)
+        blocks = [crandn(6, 3) for _ in range(4)]
+        cells = [(Algorithm.IIC, 3), (Algorithm.RMF, 3), (Algorithm.IIC, 6),
+                 (Algorithm.RMF, 5)]
+        for passes in (1, 2):
+            for result in cli._run_cells(blocks, cells, 2.0, passes):
+                report = result.report
+                assert report.sum_rate_bits == report.channel_capacity_bits
+                assert report.per_panel_cumulative.size == 0
+                assert result.equalizers is None
+        assert calls == []
+        list(cli._run_cells(blocks, [(Algorithm.IIC, 2)], 2.0, 1))
+        assert len(calls) == 4
 
     def test_rejects_np_above_antenna_count(self):
         # a factor has only 20 rows, and np may exceed them, but not the
@@ -265,10 +289,10 @@ def failing_in_child(error, real):
     """``real``, raising ``error`` in any process but this one."""
     parent = os.getpid()
 
-    def run(*args):
+    def run(*args, **kwargs):
         if os.getpid() != parent:
             raise error("boom in a cell slice")
-        return real(*args)
+        return real(*args, **kwargs)
 
     return run
 
@@ -370,10 +394,10 @@ class TestParallelTrials:
         parent = os.getpid()
         real = cli._chains
 
-        def chains(*args):
+        def chains(*args, **kwargs):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_chains", chains)
@@ -787,6 +811,20 @@ class TestMain:
         assert code == 0
         return dict(line.split("=", 1)
                     for line in capsys.readouterr().out.splitlines())
+
+    def test_full_width_trial_prints_the_ceiling(self, capsys):
+        # np = Mp = 16 keeps every small-profile block's range: the rate is
+        # the ceiling, and the traffic is that of the 250-panel chain
+        report = self._trial_report(capsys, ["--profile", "small", "--algo",
+                                             "iic", "--np", "16"])
+        assert report["sum_rate_bits"] == report["channel_capacity_bits"]
+        assert report["passes"] == "1"
+        assert {k: report[k] for k in (
+            "chain_complex_scalars", "backplane_scalars_per_use",
+            "cpu_scalars_per_use", "centralized_csi_scalars")} == {
+            "chain_complex_scalars": "99600",
+            "backplane_scalars_per_use": "4000",
+            "cpu_scalars_per_use": "20", "centralized_csi_scalars": "0"}
 
     def test_trial_reports_passes_executed(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lisim import capacity, chain, numerics
+from lisim import capacity, chain, cli, numerics
 from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
 from lisim.chain import Algorithm
 from lisim.equalizers import (ChainMessage, EqualizerSet, iic_local_step,
@@ -37,13 +37,16 @@ PROPERTY_SETTINGS = (settings(max_examples=40, deadline=None,
 
 
 @st.composite
-def chain_inputs(draw, tall=False):
-    """(blocks, rho, passes, distinct users) with K > Mp, or Mp > K if tall."""
+def chain_inputs(draw, tall=False, colocated=False):
+    """(blocks, rho, passes, distinct users) with K > Mp, or Mp > K if tall.
+
+    With ``colocated`` there are K >= 2 users at fewer than K sites.
+    """
     p = draw(st.integers(1, 4))
-    short = draw(st.integers(1, 4))
+    short = draw(st.integers(2 if colocated and tall else 1, 4))
     long = draw(st.integers(short + 1, short + 3))
     mp, k = (long, short) if tall else (short, long)
-    distinct = draw(st.integers(1, k))
+    distinct = draw(st.integers(1, k - 1 if colocated else k))
     rho = 10.0 ** draw(st.floats(-8.0, 9.0))
     passes = draw(st.integers(1, 3))
     return _sited_blocks(draw, p, mp, k, distinct), rho, passes, distinct
@@ -224,6 +227,18 @@ def test_batched_fold_is_a_fold_of_the_local_step(inputs):
 
 
 @PROPERTY_SETTINGS
+@given(st.booleans().flatmap(
+    lambda tall: chain_inputs(tall=tall, colocated=True)), st.integers(2, 3))
+def test_multi_pass_trace_is_chain_capacity_trace(inputs, passes):
+    # the fold reads a multi-pass trace off its own Grams of the last pass
+    blocks, rho, _, _ = inputs
+    widths = list(range(1, blocks[0].shape[0] + 1))
+    for eq, trace in chain._iic_fold(blocks, rho, widths, passes):
+        np.testing.assert_array_equal(
+            trace, capacity.chain_capacity_trace(blocks, eq, rho))
+
+
+@PROPERTY_SETTINGS
 @given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
        st.data())
 def test_a_cell_does_not_depend_on_its_batch(inputs, data):
@@ -312,6 +327,63 @@ def test_a_cell_runs_alike_alone_and_with_others(inputs, data):
                 == b.report.channel_capacity_bits)
         assert a.traffic == b.traffic
         assert a.passes_executed == b.passes_executed
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
+       st.floats(-8.0, 6.0), st.data())
+def test_full_width_cells_are_answered_from_the_ceiling(inputs, log_rho,
+                                                        data):
+    # as lisim.cli runs a trial: on the user-side factors, whose row count
+    # min(Mp, K) makes an IIC cell full width, with np up to the raw Mp
+    blocks, _, passes, _ = inputs
+    rho = 10.0 ** log_rho
+    mp, k = blocks[0].shape
+    if data.draw(st.booleans()):
+        blocks[data.draw(st.integers(0, len(blocks) - 1))] = np.zeros(
+            blocks[0].shape, dtype=complex)
+    cells = data.draw(st.lists(
+        st.tuples(st.sampled_from(list(Algorithm)), st.integers(1, mp)),
+        min_size=1, max_size=5))
+
+    def full_width(cell):
+        algorithm, np_outputs = cell
+        return np_outputs >= (min(mp, k) if algorithm is Algorithm.IIC
+                              else k)
+
+    others = iter(cli._run_cells(
+        blocks, [c for c in cells if not full_width(c)], rho, passes))
+    tol = max(1e-9, _rounding_bits(blocks, rho))
+    for cell, got in zip(cells, cli._run_cells(blocks, cells, rho, passes),
+                         strict=True):
+        if not full_width(cell):
+            # the same bits whether or not full-width cells share the call
+            want = next(others)
+            for x, y in zip(got.equalizers, want.equalizers, strict=True):
+                np.testing.assert_array_equal(x.w, y.w)
+            assert got.report.sum_rate_bits == want.report.sum_rate_bits
+            np.testing.assert_array_equal(got.report.per_panel_cumulative,
+                                          want.report.per_panel_cumulative)
+            assert got.traffic == want.traffic
+            if cell[0] is Algorithm.RMF:
+                assert (got.traffic.backplane_scalars_per_use
+                        == got.equalizers.n_total)
+            continue
+        algorithm, np_outputs = cell
+        report = got.report
+        assert report.sum_rate_bits == report.channel_capacity_bits
+        assert report.per_panel_cumulative.size == 0
+        assert got.equalizers is None
+        fold = (chain.run_iic_chain(blocks, rho, np_outputs, passes)
+                if algorithm is Algorithm.IIC
+                else chain.run_rmf(blocks, np_outputs, rho))
+        assert abs(fold.report.sum_rate_bits - report.sum_rate_bits) <= tol
+        assert got.traffic == fold.traffic
+        assert got.traffic.backplane_scalars_per_use == (
+            fold.equalizers.n_total if algorithm is Algorithm.RMF
+            else len(blocks) * np_outputs)
+        assert got.passes_executed == fold.passes_executed
+    assert next(others, None) is None
 
 
 @PROPERTY_SETTINGS
