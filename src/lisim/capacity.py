@@ -21,6 +21,10 @@ CEILING_SLACK_BITS = 1e-6
 #: Allowed backward slack in monotone cumulative traces.
 MONOTONE_SLACK_BITS = 1e-9
 
+#: Rows per slice of a tall channel that ``channel_capacity`` factors on
+#: its own: on 4000 x 20 stacked blocks, twice as fast as one QR.
+_QR_ROWS = 512
+
 
 @dataclass(frozen=True)
 class CapacityReport:
@@ -72,25 +76,40 @@ def sum_rate_full(h, w, rho: float) -> float:
 
 
 def channel_capacity(h, rho: float) -> float:
-    """Capacity of the raw antenna interface, ``log2 det(I + rho H^H H)``."""
+    """Capacity of the raw antenna interface, ``log2 det(I + rho H^H H)``.
+
+    Read off the singular values ``s`` of ``H`` (of its R factor, when
+    ``H`` is tall) as ``sum log2(1 + rho s^2)``, so that the unit
+    eigenvalues of ``I + rho H^H H`` are never rounded next to a large
+    one; see ``numerics.logdet2_eye_plus_gram``.
+    """
     _check_rho(rho)
     h = numerics._as_matrix(h, "channel")
-    return numerics.logdet2_eye_plus(rho * (h.conj().T @ h))
+    if h.shape[0] > h.shape[1]:
+        # the R factors of row slices, then the R factor of their stack:
+        # an R of H, from copies small enough to stay in cache
+        slices = [np.linalg.qr(h[i:i + _QR_ROWS], mode="r")
+                  for i in range(0, len(h), _QR_ROWS)]
+        h = np.linalg.qr(np.vstack(slices), mode="r")
+        # the R factor of entries near overflow can itself overflow
+        numerics.check_finite(h)
+    return numerics.logdet2_eye_plus_gram(h, rho)
 
 
-def _panel_grams(blocks, eq: EqualizerSet, rho: float):
-    """Per-panel terms ``rho H_i^H S_i H_i``, K x K; checks every input."""
+def _panel_filters(blocks, eq: EqualizerSet, rho: float):
+    """Per-panel ``(Q_i, H_i)``, ``Q_i`` an orthonormal basis of the i-th
+    filter's column space; checks every input."""
     _check_rho(rho)
     if len(blocks) != len(eq):
         raise ValueError("one equalizer per channel block is required")
-    grams = []
+    pairs = []
     for h, pe in zip(blocks, eq):
         h = numerics._as_matrix(h, "channel block")
         q = pe.orthonormal_columns()
         if q.shape[0] != h.shape[0]:
             raise ValueError("equalizer and block disagree on antenna count")
-        grams.append(numerics.projected_gram(q, h, rho))
-    return grams
+        pairs.append((q, h))
+    return pairs
 
 
 def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
@@ -100,24 +119,27 @@ def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
     the projector onto the i-th filter's column space; identical to
     ``sum_rate_full`` on the assembled dense block-diagonal filter.
     """
-    grams = _panel_grams(blocks, eq, rho)
-    return numerics.logdet2_eye_plus(sum(grams))
+    return numerics.logdet2_eye_plus(sum(
+        numerics.projected_gram(q, h, rho)
+        for q, h in _panel_filters(blocks, eq, rho)))
 
 
 def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
     """Cumulative sum rate after each panel of a chain run.
 
-    Entry i, ``log2 det(I + G_0 + ... + G_i)`` summed from I as a chain
-    does, is the rate delivered by panels 0..i together. The final
-    entry equals ``sum_rate_panelized`` and consecutive differences equal
-    the per-panel increments reported by the chain steps.
+    Entry i, ``log2 det(I + G_0 + ... + G_i)``, is the rate delivered by
+    panels 0..i together. It is read off the R factor that
+    ``numerics.grown_factor`` grows from I by each panel's term, so no
+    ``I + G_0 + ... + G_i`` is rounded. The final entry is
+    ``sum_rate_panelized`` up to that rounding, and consecutive
+    differences are the per-panel increments of the chain steps.
     """
-    grams = _panel_grams(blocks, eq, rho)
-    if not grams:
+    pairs = _panel_filters(blocks, eq, rho)
+    if not pairs:
         return np.zeros(0)
-    acc = np.eye(grams[0].shape[0], dtype=complex)
-    out = np.empty(len(grams))
-    for i, g in enumerate(grams):
-        acc = acc + g
-        out[i] = numerics.logdet2_hpd(acc)
+    r = np.eye(pairs[0][1].shape[1], dtype=complex)
+    out = np.empty(len(pairs))
+    for i, (q, h) in enumerate(pairs):
+        r = numerics.grown_factor(r, q, h, rho)
+        out[i] = numerics.logdet2_factor(r)
     return out

@@ -5,14 +5,15 @@ the same channel blocks and scores each against the blocks' one
 channel-capacity ceiling; ``run_iic_chain``, ``run_rmf`` and
 ``run_centralized`` are its one-cell calls. An IIC chain folds the local
 interference-cancellation step over the panels in scenario order,
-threading the Hermitian K x K accumulator from panel to panel. Further
+threading the Hermitian K x K accumulator from panel to panel; the
+first pass carries an inverse square-root factor of it instead. Further
 passes continue the same fold: each panel then steps against the
 accumulator less its own previous contribution. Chains over the same
-blocks at several output widths fold together, their accumulators
-stacked, and each gets the bits it would get alone. The RMF cells of a
+blocks at several output widths fold together, their state stacked, and
+each gets the bits it would get alone. The RMF cells of a
 call read their filters off one stack of the blocks and one column
-order, and each is scored by stacked SVDs and one K x K Gram over its
-panels, never panel by panel. Centralized
+order, and each is scored by stacked SVDs and one R factor of its
+panels' rows, never panel by panel. Centralized
 execution reuses the exact same runner, so the resulting filters are
 bit-identical; only the interconnect accounting changes (full CSI upload
 instead of panel-to-panel messages).
@@ -86,12 +87,9 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     single pass). In later passes panel i first subtracts its previous
     contribution, that Gram, and so re-optimizes against every other
     panel's current contribution, which can only increase the objective;
-    the difference goes to the step as computed. Each step is
-    ``iic_local_step``'s, whitened by the same Cholesky factor, so the
-    filters are a fold of it bit for bit. The report's trace is
-    ``capacity.chain_capacity_trace`` of the filters bit for bit: read off
-    the next step's Cholesky factor in a single pass, else off the factor
-    of the last pass's running sum of its Grams.
+    the difference goes to the step as computed. How closely the filters
+    and the report's trace follow ``iic_local_step`` and
+    ``capacity.chain_capacity_trace`` is stated in ``_iic_fold``.
 
     This is the one-cell call of ``_chains``, the runner that
     ``lisim.cli`` gives all of a trial's cells at once; a cell's result
@@ -203,54 +201,74 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
 def _iic_fold(blocks, rho: float, widths, passes: int):
     """One IIC chain per width, folded over the panels at once.
 
-    The accumulators of the C chains are one C x K x K stack. Per panel
-    step, one stacked Cholesky factorization, one stacked whitening solve
-    and one stacked SVD serve every chain; each then keeps
-    ``min(width, rank)`` columns by ``numerics.numerical_rank`` and adds
-    its filter's ``numerics.projected_gram``, formed on its own. Every
-    stacked kernel gives a matrix the bits it would get alone, so a
-    chain's filters do not depend on the other widths.
+    The C chains are stacked, and one stacked kernel of each kind serves
+    them all per panel step; each chain keeps ``min(width, rank)`` columns
+    of its whitened block's left singular vectors, by
+    ``numerics.numerical_rank``. Every stacked kernel gives a matrix the
+    bits it would get alone, so a chain's result does not depend on the
+    other widths.
 
-    Returns one ``(EqualizerSet, trace)`` per width, with the trace of
-    ``capacity.chain_capacity_trace`` bit for bit. A single pass reads
-    entry i off the Cholesky factor of ``I + G_0 + ... + G_i``, which is
-    the next step's (one more factorization follows the last panel).
-    With more passes, the last one also sums its Grams from I, in
-    ``chain_capacity_trace``'s order, and reads entry i off the stacked
-    factor of ``I + G_0 + ... + G_i``. The blocks must be checked already.
+    The first pass carries an inverse factor ``g`` of each accumulator,
+    ``z^-1 = g^H g``, from I. A panel whitens its block to
+    ``A = sqrt(rho) H g^H``, which has the left singular vectors of any
+    whitening against ``z``, and takes the thin SVD ``A = U S V^H``. As
+    ``z = F F^H`` for ``F = g^-1``, the kept columns ``_w`` move ``z`` to
+    ``F (I + V_w S_w^2 V_w^H) F^H``: so ``g`` moves to
+    ``(I + V_w S_w^2 V_w^H)^-1/2 g``, and the trace grows by
+    ``sum log2(1 + s_j^2)`` over the kept ``j``. Later passes hold ``z``
+    itself, the sum of the filters' projected Grams: panel i subtracts
+    its previous contribution, whitens against the Cholesky factor of
+    the rest and adds its new one. The last of them grows an R factor of
+    ``I + G_0 + ... + G_i`` from I by ``numerics.grown_factor``, as
+    ``capacity.chain_capacity_trace`` does, and reads entry i off it.
+
+    The contract: every filter spans what ``iic_local_step`` keeps from
+    the same input, though its columns may differ in phase. A multi-pass
+    trace is ``chain_capacity_trace`` of the filters bit for bit; a
+    single-pass trace is that up to the rounding of forming
+    ``I + rho H^H H``. Returns one ``(EqualizerSet, trace)`` per width.
+    The blocks must be checked already.
     """
     k = blocks[0].shape[1]
     identity = np.tile(np.eye(k, dtype=complex), (len(widths), 1, 1))
-    z = identity.copy()
     filters = [[None] * len(blocks) for _ in widths]
-    traces = np.empty((len(widths), len(blocks)))
-    for pass_index in range(passes):
-        # the last of several passes sums its Grams from I again, for the
-        # trace; keeping every Gram instead raises the peak memory
-        prefix = identity.copy() if 0 < pass_index == passes - 1 else None
+    increments = np.empty((len(widths), len(blocks)))
+    # the explicit accumulator serves the later passes alone
+    z = identity.copy() if passes > 1 else None
+    g = identity
+    for i, h in enumerate(blocks):
+        u, s, vh = numerics.svd((np.sqrt(rho) * h)
+                                @ np.swapaxes(g.conj(), 1, 2))
+        keep = np.minimum(widths, numerics.numerical_rank(s))
+        gains = np.where(np.arange(s.shape[1]) < keep[:, None], s * s, 0.0)
+        increments[:, i] = numerics.log2_one_plus(gains)
+        shrink = 1.0 / np.sqrt(1.0 + gains) - 1.0
+        g = g + np.swapaxes(vh.conj(), 1, 2) @ (shrink[:, :, None]
+                                                * (vh @ g))
+        for c, width in enumerate(keep):
+            # a copy, so that the filters do not keep every u alive
+            filters[c][i] = w = u[c, :, :width].copy()
+            if z is not None:
+                z[c] += numerics.projected_gram(w, h, rho)
+    traces = np.cumsum(increments, axis=1)
+    # the last pass grows an R factor of I + G_0 + ... + G_i for the trace
+    factors = identity.copy()
+    for pass_index in range(1, passes):
+        last = pass_index == passes - 1
         for i, h in enumerate(blocks):
-            if pass_index:
-                # leave out each panel's contribution from the previous pass
-                for c, cell in enumerate(filters):
-                    z[c] -= numerics.projected_gram(cell[i], h, rho)
-            chol = numerics.cholesky(z)
-            if passes == 1 and i:
-                traces[:, i - 1] = numerics.logdet2_factor(chol)
-            u, s = numerics.svd(numerics.whiten(h, chol, rho))
+            # leave out each panel's contribution from the previous pass
+            for c, cell in enumerate(filters):
+                z[c] -= numerics.projected_gram(cell[i], h, rho)
+            u, s, _ = numerics.svd(numerics.whiten(h, numerics.cholesky(z),
+                                                   rho))
             for c, (width, rank) in enumerate(
                     zip(widths, numerics.numerical_rank(s))):
-                # a copy, so that the filters do not keep every u alive
-                w = u[c, :, :min(width, rank)].copy()
-                filters[c][i] = w
-                gram = numerics.projected_gram(w, h, rho)
-                z[c] += gram
-                if prefix is not None:
-                    prefix[c] += gram
-            if prefix is not None:
-                traces[:, i] = numerics.logdet2_factor(
-                    numerics.cholesky(prefix))
-    if passes == 1:
-        traces[:, -1] = numerics.logdet2_factor(numerics.cholesky(z))
+                filters[c][i] = w = u[c, :, :min(width, rank)].copy()
+                z[c] += numerics.projected_gram(w, h, rho)
+                if last:
+                    factors[c] = numerics.grown_factor(factors[c], w, h, rho)
+            if last:
+                traces[:, i] = numerics.logdet2_factor(factors)
     return [(EqualizerSet(per_panel=tuple(
         PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
         for w in cell)), trace) for cell, trace in zip(filters, traces)]
@@ -276,20 +294,21 @@ def _rmf_cell(stack, order, np_outputs: int, rho: float):
     stacked SVD gives each filter's left singular vectors ``U``, of
     which ``capacity.sum_rate_panelized`` keeps the leading
     ``numerical_rank``; here the rows of ``T = U^H H`` past a panel's
-    rank are zeroed instead, which drops them from the one K x K Gram
-    ``sum_i T_i^H T_i``, summed slice by slice. The rate is that of
-    ``sum_rate_panelized`` up to the rounding of its summation order.
+    rank are zeroed instead. The rate ``log2 det(I + rho sum_i T_i^H
+    T_i)`` is read off the singular values of the R factor of all the
+    panels' rows, which each slice updates; like the ceiling, it never
+    forms ``I + rho sum_i T_i^H T_i``, so it is ``sum_rate_panelized``'s
+    up to that sum's rounding.
     """
     w = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
     k = stack.shape[2]
-    gram = np.zeros((k, k), dtype=complex)
+    r = np.zeros((0, k), dtype=complex)
     for lo in range(0, len(w), _RMF_SLICE):
-        u, s = numerics.svd(w[lo:lo + _RMF_SLICE])
+        u, s, _ = numerics.svd(w[lo:lo + _RMF_SLICE])
         t = np.swapaxes(u.conj(), 1, 2) @ stack[lo:lo + _RMF_SLICE]
         t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
-        t = t.reshape(t.shape[0] * t.shape[1], k)
-        gram += t.conj().T @ t
-    rate = numerics.logdet2_eye_plus(rho * gram)
+        r = np.linalg.qr(np.vstack([r, t.reshape(-1, k)]), mode="r")
+    rate = numerics.logdet2_eye_plus_gram(r, rho)
     eq_set = EqualizerSet(per_panel=tuple(
         PanelEqualizer(w=h, kind=EqualizerKind.RMF, semi_unitary=False)
         for h in w))

@@ -176,7 +176,9 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
     -------
     (PanelEqualizer, float, ChainMessage)
         The panel filter, the capacity increment ``delta_c`` in bits
-        contributed by this panel, and the accumulator to forward,
+        contributed by this panel, ``sum log2(1 + s_j^2)`` over the kept
+        singular values of the whitened block, and the accumulator to
+        forward,
         ``z_prev + rho (W^H H)^H (W^H H)`` as computed (not symmetrized).
     """
     h = numerics._as_matrix(h_panel, "channel block")
@@ -186,13 +188,12 @@ def iic_local_step(h_panel, z_prev: ChainMessage, rho: float,
         raise ValueError(f"rho must be positive and finite, got {rho}")
     z = numerics._as_matrix(z_prev.z, "chain accumulator")
     numerics.check_hermitian(z)
-    # whitened by the Cholesky factor, as the chain's batched fold does
-    h_hat = numerics.whiten(h, numerics.cholesky(z), rho)
-    w = numerics.orthonormal_range(h_hat, np_outputs)
+    u, s, _ = numerics.svd(numerics.whiten(h, numerics.cholesky(z), rho))
+    keep = min(np_outputs, int(numerics.numerical_rank(s)))
+    w = u[:, :keep]
     eq = PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
-
-    # the whitened block already carries sqrt(rho)
-    delta_c = numerics.logdet2_eye_plus(numerics.projected_gram(w, h_hat, 1.0))
+    # the kept singular values of the whitened block give the increment
+    delta_c = float(numerics.log2_one_plus(s[:keep] ** 2))
 
     z_next = z + numerics.projected_gram(w, h, rho)
     return eq, delta_c, ChainMessage(z=z_next, hop_index=z_prev.hop_index + 1)

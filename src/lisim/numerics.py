@@ -2,10 +2,11 @@
 
 Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
 SVD, Cholesky factors and the base-2 log-determinants of Hermitian
-positive-definite matrices read off them (``log2 det(I + X)`` among them),
-whitening against a Cholesky factor, orthonormal range bases, the
-projected Gram ``rho (Q^H H)^H (Q^H H)`` that every captured covariance is
-made of, and the K x K user-side factor of a tall channel block. They
+positive-definite matrices read off them (``log2 det(I + X)`` among them)
+or off eigenvalues (``log2_one_plus``), whitening against a Cholesky
+factor, orthonormal range bases, the projected Gram
+``rho (Q^H H)^H (Q^H H)`` that every captured covariance is made of,
+and the K x K user-side factor of a tall channel block. They
 return plain arrays, and ``numerical_rank`` holds the one rank rule. The
 SVD, Cholesky, whitening, log-determinant and rank kernels also take a
 stack of matrices and give each the bits it would get alone. All
@@ -16,8 +17,8 @@ by the public function it enters. Channel blocks and filters go through
 ``capacity`` functions that take them, every function that takes ``rho``
 rejects a negative one or one that fails ``_is_finite_real``, every count
 must pass ``_is_int`` where it enters, and ``iic_local_step`` also checks
-its accumulator for hermiticity. A Gram that overflows (rho near 1e308)
-is reported by ``cholesky`` alone.
+its accumulator for hermiticity. A Gram, accumulator or gain that
+overflows (rho near 1e308) is reported by ``check_finite`` alone.
 """
 
 import math
@@ -91,10 +92,23 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
             np.ascontiguousarray(basis[:, ::-1]))
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray]:
-    """Left factor ``(U, s)`` of the thin SVD of a finite ndarray or stack."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u, s
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(U, s, Vh)`` of a finite ndarray or stack.
+
+    ``A = U diag(s) Vh``, with ``s`` descending.
+    """
+    return np.linalg.svd(a, full_matrices=False)
+
+
+def check_finite(a) -> None:
+    """Raise the one overflow error unless every entry of ``a`` is finite.
+
+    An overflowing Gram, accumulator or gain is reported as a non-finite
+    log-determinant, whichever kernel would read it first.
+    """
+    if not np.isfinite(a).all():
+        raise NumericalDomainError("log-determinant is not finite: "
+                                   "non-finite matrix entries")
 
 
 def cholesky(a) -> np.ndarray:
@@ -104,12 +118,9 @@ def cholesky(a) -> np.ndarray:
     only its lower triangle is read. Raises NumericalDomainError if a
     matrix is not positive definite, or has non-finite entries (an
     overflowing Gram), which LAPACK would factor or fail on by chance.
-    Those are tested first and reported as a non-finite log-determinant:
-    the one overflow error of every accumulator, rate and ceiling.
+    Those are tested first, by ``check_finite``.
     """
-    if not np.isfinite(a).all():
-        raise NumericalDomainError("log-determinant is not finite: "
-                                   "non-finite matrix entries")
+    check_finite(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -117,12 +128,15 @@ def cholesky(a) -> np.ndarray:
 
 
 def logdet2_factor(chol):
-    """Base-2 log-determinant of ``L L^H`` from its Cholesky factor ``L``.
+    """Base-2 log-determinant of ``L L^H`` from a triangular factor ``L``.
 
-    One value per factor of a stack. A factor from ``cholesky`` has a
-    finite, positive diagonal, so every value is finite.
+    ``L`` is a Cholesky factor, or an R factor from ``grown_factor``,
+    which stands for ``R^H R``; one value per factor of a stack. Raises
+    ``check_finite``'s error if a squared diagonal entry overflows, as
+    the Gram it stands for would; a factor from ``cholesky`` never does.
     """
-    diagonal = np.diagonal(chol, axis1=-2, axis2=-1).real
+    diagonal = np.abs(np.diagonal(chol, axis1=-2, axis2=-1))
+    check_finite(diagonal * diagonal)
     return 2.0 * np.log2(diagonal).sum(axis=-1)
 
 
@@ -157,6 +171,27 @@ def whiten(h: np.ndarray, chol: np.ndarray, rho: float) -> np.ndarray:
     return np.sqrt(rho) * np.swapaxes(solved.conj(), -1, -2)
 
 
+def log2_one_plus(gains):
+    """``sum_j log2(1 + g_j)`` over the last axis of nonnegative gains.
+
+    ``log2 det(I + X)`` of a Hermitian ``X`` with eigenvalues ``g``, read
+    off them without forming ``I + X``, whose rounding would drown the
+    unit eigenvalues next to a large one. One value per row of a stack.
+    """
+    return np.log1p(gains).sum(axis=-1) / math.log(2.0)
+
+
+def logdet2_eye_plus_gram(a: np.ndarray, rho: float) -> float:
+    """``log2 det(I + rho A^H A)`` of a finite 2-D ``a``, from its singular
+    values ``s`` as ``log2_one_plus(rho s^2)``.
+
+    A gain ``rho s^2`` that overflows raises ``check_finite``'s error.
+    """
+    gains = rho * np.linalg.svd(a, compute_uv=False) ** 2
+    check_finite(gains)
+    return float(log2_one_plus(gains))
+
+
 def logdet2_eye_plus(x: np.ndarray) -> float:
     """``log2 det(I + X)`` of a Hermitian positive-semidefinite K x K ``x``.
 
@@ -173,6 +208,17 @@ def projected_gram(q: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
     """
     t = q.conj().T @ h
     return rho * (t.conj().T @ t)
+
+
+def grown_factor(r: np.ndarray, q: np.ndarray, h: np.ndarray,
+                 rho: float) -> np.ndarray:
+    """R factor of ``[R; sqrt(rho) Q^H H]``, K x K, for a K x K ``r``.
+
+    Its Gram is ``R^H R + projected_gram(q, h, rho)``; neither Gram is
+    formed, so a rank-deficient term keeps its unit eigenvalues.
+    """
+    t = np.sqrt(rho) * (q.conj().T @ h)
+    return np.linalg.qr(np.vstack([r, t]), mode="r")
 
 
 def user_side_factor(h: np.ndarray) -> np.ndarray:
@@ -208,6 +254,6 @@ def orthonormal_range(a, n=None) -> np.ndarray:
     passes ``numerical_rank``, at most ``n`` of them: the width is
     ``min(n, rank)``, the rank when ``n`` is None.
     """
-    u, s = svd(a)
+    u, s, _ = svd(a)
     rank = int(numerical_rank(s))
     return u[:, : rank if n is None else min(n, rank)]

@@ -55,19 +55,12 @@ class TestChannelCapacity:
             2.0, abs=1e-12)
 
     # A rank-one channel, H^H H with eigenvalues 8 and 0: the capacity is
-    # log2(1 + 8 rho). Forming I + rho H^H H rounds the unit eigenvalue
-    # away once rho * 8 * eps reaches about 1.
-    @pytest.mark.xfail(strict=True, raises=NumericalDomainError, reason=(
-        "at rho = 1e16 the formed I + rho H^H H is not positive definite "
-        "to the Cholesky factorization"))
+    # log2(1 + 8 rho). Forming I + rho H^H H would round the unit
+    # eigenvalue away once rho * 8 * eps reaches about 1.
     def test_rank_one_ceiling_at_rho_1e16(self):
         got = capacity.channel_capacity(np.ones((4, 2)), 1e16)
         assert abs(got - np.log2(1.0 + 8e16)) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "at rho = 1e17 the unit eigenvalue of I + rho H^H H rounds to "
-        "about 64, so the ceiling reads 65.47 bits where log2(1 + 8e17) "
-        "is 59.47"))
     def test_rank_one_ceiling_at_rho_1e17(self):
         got = capacity.channel_capacity(np.ones((4, 2)), 1e17)
         assert abs(got - np.log2(1.0 + 8e17)) <= 1e-9

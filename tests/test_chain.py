@@ -64,7 +64,9 @@ class TestRunIicChain:
         msg = ChainMessage.initial(3)
         for h, got in zip(blocks, res.equalizers):
             eq, _, msg = equalizers.iic_local_step(h, msg, 2.0, 2)
-            np.testing.assert_array_equal(got.w, eq.w)
+            # the same span; the fold's columns may differ in phase
+            np.testing.assert_allclose(span_projector(got),
+                                       span_projector(eq), atol=1e-8)
 
     @pytest.mark.parametrize("passes", [2, 3])
     def test_later_passes_leave_one_out(self, crandn, passes):
@@ -90,9 +92,17 @@ class TestRunIicChain:
     def test_report_trace_is_chain_capacity_trace(self, crandn, passes, mp, k):
         blocks = random_blocks(crandn, 4, mp, k)
         result = chain.run_iic_chain(blocks, 2.0, 2, passes)
-        np.testing.assert_array_equal(
-            result.report.per_panel_cumulative,
-            capacity.chain_capacity_trace(blocks, result.equalizers, 2.0))
+        got = result.report.per_panel_cumulative
+        want = capacity.chain_capacity_trace(blocks, result.equalizers, 2.0)
+        if passes > 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            # read off the singular values the fold keeps, not off an R
+            # factor, so it may differ by the rounding of the accumulator
+            rounding = (k * 2.0 * np.linalg.norm(np.vstack(blocks), 2) ** 2
+                        * np.finfo(float).eps / np.log(2.0))
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=max(1e-9, rounding))
 
     def test_pass_count_scales_traffic(self, crandn):
         blocks = random_blocks(crandn, 3, 3, 2)

@@ -792,6 +792,22 @@ class TestMain:
                                    "not finite: non-finite matrix entries\n")
         assert not out.exists()
 
+    def test_single_pass_runs_at_rho_1e14(self, capsys):
+        # users at distinct sites; the accumulator I + rho sum G_i is then
+        # too ill-conditioned to factor, and a single pass never forms it
+        code = cli.main(["trial", "--profile", "large", "--algo", "iic",
+                         "--np", "4", "--rho", "1e14"])
+        assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a second pass whitens against the Cholesky factor of the explicit "
+        "accumulator, which is not positive definite to it at rho = 1e14 "
+        "after one-column filters"))
+    def test_second_pass_runs_at_rho_1e14(self, capsys):
+        code = cli.main(["trial", "--profile", "large", "--algo", "iic",
+                         "--np", "1", "--rho", "1e14", "--passes", "2"])
+        assert code == 0, capsys.readouterr().err
+
     @pytest.mark.parametrize("profile, np_arg", [
         ("small", "0"), ("small", "17"), ("large", "0"), ("large", "401")])
     def test_trial_rejects_oversized_np(self, capsys, profile, np_arg):

@@ -71,15 +71,15 @@ class TestCheckHermitian:
 
 class TestSvd:
     def test_zero_matrix(self):
-        _, s = numerics.svd(np.zeros((2, 2)))
+        _, s, _ = numerics.svd(np.zeros((2, 2)))
         np.testing.assert_allclose(s, [0.0, 0.0])
 
     def test_diagonal(self):
-        _, s = numerics.svd(np.diag([3.0, 1.0]))
+        _, s, _ = numerics.svd(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(s, [3.0, 1.0])
 
     def test_unit_column(self):
-        u, s = numerics.svd(np.array([[1.0], [0.0]]))
+        u, s, _ = numerics.svd(np.array([[1.0], [0.0]]))
         np.testing.assert_allclose(s, [1.0])
         np.testing.assert_allclose(np.abs(u[:, 0]), [1.0, 0.0], atol=1e-12)
 
@@ -87,7 +87,8 @@ class TestSvd:
     def test_random_reconstruction(self, crandn, shape):
         for _ in range(100):
             a = crandn(*shape)
-            u, s = numerics.svd(a)
+            u, s, vh = numerics.svd(a)
+            np.testing.assert_allclose((u * s) @ vh, a, atol=1e-12)
             assert np.all(s >= 0)
             assert np.all(np.diff(s) <= 0)
             assert u.shape == (shape[0], min(shape))
@@ -159,7 +160,7 @@ class TestOrthonormalRange:
         col = np.array([1.0, 1.0]) / math.sqrt(2.0)
         a = np.column_stack([col, col])
         # rank-1 outer product: singular values are (sqrt(2), 0)
-        _, sing = numerics.svd(a)
+        _, sing, _ = numerics.svd(a)
         assert sing[0] == pytest.approx(math.sqrt(2.0))
         assert sing[1] == pytest.approx(0.0, abs=1e-12)
         assert numerics.orthonormal_range(a).shape == (2, 1)

@@ -5,13 +5,13 @@ decades. Co-located users share one channel column, so a block's rank can
 fall below both its antenna count and the user count; every draw has more
 users than antennas per panel, or, for the tall blocks that the sweep
 factors to their K x K triangle, more antennas than users. The SNR spans
-rho in [1e-8, 1e9] and IIC runs one to three passes. One property draws
-P, Mp and K in 1..5 instead, with rho near overflow, in [1e280, 1.6e308].
+rho in [1e-8, 1e9] and IIC runs one to three passes. One property runs
+single passes at rho in [1e9, 1e14], and one draws P, Mp and K in 1..5
+instead, with rho near overflow, in [1e280, 1.6e308].
 
 The draws are derandomized so the suite is reproducible. A randomized
-search over the same space, ``--hypothesis-profile deep`` (registered in
-``conftest.py``), finds the two rounding defects pinned by the ``xfail``
-tests at the end.
+search over the same space is ``--hypothesis-profile deep`` (registered
+in ``conftest.py``). The two rank-one cases at the end were found by it.
 """
 
 import math
@@ -155,6 +155,39 @@ def test_outputs_above_block_rank_change_nothing(inputs):
     assert above.traffic.backplane_scalars_per_use == len(blocks) * mp
 
 
+@PROPERTY_SETTINGS
+@given(st.tuples(st.booleans(), st.booleans()).flatmap(
+    lambda flags: chain_inputs(tall=flags[0], colocated=flags[1])),
+    st.floats(9.0, 14.0))
+def test_a_single_pass_runs_at_high_snr(inputs, log_rho):
+    blocks, _, _, _ = inputs
+    rho = 10.0 ** log_rho
+    cells = [(Algorithm.IIC, width)
+             for width in range(1, blocks[0].shape[0] + 1)]
+    results = list(chain._chains(blocks, rho, cells, 1))
+    assert len(results) == len(cells)
+    for result in results:
+        report = result.report
+        assert (report.sum_rate_bits
+                <= report.channel_capacity_bits + CEILING_SLACK_BITS)
+        assert np.all(np.diff(report.per_panel_cumulative, prepend=0.0)
+                      >= -MONOTONE_SLACK_BITS)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 8), st.integers(1, 5), st.floats(-8.0, 17.0),
+       st.integers(0, 2**32 - 1))
+def test_ceiling_of_users_at_one_site(m, k, log_rho, seed):
+    # H = h 1^T has one nonzero singular value, sqrt(K) ||h||
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** (
+        rng.uniform(-2.0, 1.0))
+    rho = 10.0 ** log_rho
+    got = capacity.channel_capacity(np.outer(h, np.ones(k)), rho)
+    want = np.log1p(rho * k * np.linalg.norm(h) ** 2) / np.log(2.0)
+    assert abs(got - want) <= 1e-9 * want
+
+
 def _rounding_bits(blocks, rho):
     """About the rounding of forming ``I + rho H^H H``, in bits."""
     k = blocks[0].shape[1]
@@ -208,8 +241,8 @@ def _local_step_fold(blocks, rho, np_outputs, passes):
     return EqualizerSet(per_panel=tuple(filters))
 
 
-# The fold itself, not run_iic_chain: its ceiling check would stop a
-# draw on the rank-one rounding defect pinned by the xfails below.
+# The fold itself, not run_iic_chain: its ceiling check could stop a
+# draw on a rank-one rounding defect.
 @PROPERTY_SETTINGS
 @given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)))
 def test_batched_fold_is_a_fold_of_the_local_step(inputs):
@@ -254,8 +287,8 @@ def test_a_cell_does_not_depend_on_its_batch(inputs, data):
             np.testing.assert_array_equal(a.w, b.w)
 
 
-# The cell itself, not run_rmf: its ceiling check would stop a draw on
-# the rank-one rounding defect pinned by the xfails below.
+# The cell itself, not run_rmf: its ceiling check could stop a draw on
+# a rank-one rounding defect.
 @PROPERTY_SETTINGS
 @given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
        st.data())
@@ -425,19 +458,10 @@ def _one_site_blocks(p, mp, k, scale):
     return [h[i * mp:(i + 1) * mp] for i in range(p)]
 
 
-@pytest.mark.xfail(raises=NumericalDomainError, reason=(
-    "rank-1 channel at rho * ||H||^2 ~ 1e10: forming I + rho H^H H rounds "
-    "the unit eigenvalues by ~1e-6, so the rate overshoots the ceiling by "
-    "1.6e-6 bits, more than the absolute CEILING_SLACK_BITS, and the "
-    "runtime check rejects a valid run"))
 def test_rank_one_channel_at_high_snr_stays_below_ceiling():
     chain.run_iic_chain(_one_site_blocks(2, 3, 4, 10.0), 1e7, 1)
 
 
-@pytest.mark.xfail(reason=(
-    "rank-1 channel at high SNR: the second pass loses 1.4e-7 bits of a "
-    "31-bit rate to rounding in the rate evaluation, more than the 1e-9 "
-    "relative slack"))
 def test_rank_one_channel_at_high_snr_keeps_rate_over_passes():
     blocks = _one_site_blocks(3, 2, 4, 3.0)
     one, two = (chain.run_iic_chain(blocks, 1e7, 1, passes=q)
