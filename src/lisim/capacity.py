@@ -32,7 +32,7 @@ class CapacityReport:
 
     ``per_panel_cumulative`` holds the running sum rate after each panel
     of a chain run. It is empty for algorithms without a chain pass, and
-    for a full-width cell answered from the ceiling without running.
+    for a full-width cell (see ``chain._chains``).
     """
 
     sum_rate_bits: float

@@ -65,8 +65,7 @@ class TrafficReport:
 class ChainResult:
     """Filters, capacity report, traffic accounting, and pass count.
 
-    ``equalizers`` is None for a full-width cell that ``_chains`` answered
-    from the ceiling instead of building its filters.
+    ``equalizers`` is None for a full-width cell (see ``_chains``).
     """
 
     equalizers: EqualizerSet | None
@@ -92,8 +91,7 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     ``capacity.chain_capacity_trace`` is stated in ``_iic_fold``.
 
     This is the one-cell call of ``_chains``, the runner that
-    ``lisim.cli`` gives all of a trial's cells at once; a cell's result
-    does not depend on the cells it runs with.
+    ``lisim.cli`` gives all of a trial's cells at once.
 
     Parameters
     ----------
@@ -126,13 +124,16 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
     there, before any cell. The IIC cells then fold together. RMF cells
     are built as they are yielded, by ``_rmf_cell`` from the one stack
     and column order that ``_rmf_order`` makes at the first of them.
-    Every report is checked against the ceiling. A cell's result is the
-    same bit for bit whichever cells share the call. ``centralized``
-    counts a central unit's CSI upload in place of chain messages.
+    Every report is checked against the ceiling. ``centralized`` counts
+    a central unit's CSI upload in place of chain messages.
+
+    A cell's result does not depend on the cells it runs with: it is the
+    same bit for bit whichever cells share the call, or alone.
 
     With ``full_width_from_ceiling``, a full-width cell is not run: IIC
-    with np at least the blocks' row count, or RMF with np at least K,
-    keeps every block's whole column space, so its rate is the ceiling.
+    with np at least the blocks' row count (``min(Mp, K)`` for factors),
+    or RMF with np at least K, keeps every block's whole column space, so
+    its rate is the ceiling.
     Its result has that rate, an empty trace, no equalizers and the
     traffic and passes a run would report. Only a caller that reads no
     more than the rate may ask for this; the one-cell calls below keep

@@ -169,7 +169,10 @@ def los_gain(user, antenna, wavelength_m: float):
         sqrt(z_k) / (2 sqrt(pi) d^(3/2)) * exp(-2j pi d / wavelength)
 
     with d the Euclidean distance between the two points. The amplitude
-    law integrates to unit captured power over an infinite surface.
+    law integrates to unit captured power over an infinite surface. The
+    phase d / wavelength is reduced to the nearest whole cycle before its
+    cosine and sine are taken; the subtraction is exact, so the rounding
+    of d itself stays the error floor.
 
     Broadcasting over leading axes is supported; the last axis must hold
     the (x, y, z) coordinates.
@@ -177,35 +180,50 @@ def los_gain(user, antenna, wavelength_m: float):
     user = np.asarray(user, dtype=float)
     antenna = np.asarray(antenna, dtype=float)
     z = user[..., 2]
-    if np.any(z <= 0.0):
+    # written so that a NaN depth or wavelength fails them too
+    if not np.all(z > 0.0):
         raise NumericalDomainError("user depth must be strictly positive")
-    if wavelength_m <= 0.0:
+    if not wavelength_m > 0.0:
         raise NumericalDomainError("wavelength must be positive")
     # x, y, z summed in order, as a sum over the last axis would, but with
     # no (..., 3) temporary: at M x K that temporary outgrows the cache
     d = np.sqrt((user[..., 0] - antenna[..., 0]) ** 2
                 + (user[..., 1] - antenna[..., 1]) ** 2
                 + (user[..., 2] - antenna[..., 2]) ** 2)
-    amplitude = np.sqrt(z) / (_TWO_SQRT_PI * d**1.5)
-    return amplitude * np.exp(-2j * np.pi * d / wavelength_m)
+    amplitude = np.sqrt(z) / (_TWO_SQRT_PI * (d * np.sqrt(d)))
+    # d becomes the phase in radians, within [-pi, pi]
+    d /= wavelength_m
+    d -= np.rint(d)
+    d *= -2.0 * math.pi
+    gain = np.empty(np.shape(d), dtype=complex)
+    np.cos(d, out=gain.real)
+    np.sin(d, out=gain.imag)
+    gain *= amplitude
+    return gain[()]  # a complex scalar for one user and one antenna
 
 
 def realize_channel(scenario: Scenario, users: np.ndarray,
                     wavelength_m: float) -> ChannelRealization:
     """Generate all panel blocks and normalize the stacked channel.
 
-    ``users`` holds the K x 3 user positions, as ``sample_users`` returns.
-    A single scale c = sqrt(M K) / ||H_raw||_F is applied to every block
-    so the stacked Frobenius norm squared equals M * K exactly.
+    ``users`` holds the K x 3 user positions, as ``sample_users`` returns;
+    another shape raises ``ValueError`` and a non-finite coordinate
+    ``NumericalDomainError``. A single scale c = sqrt(M K) / ||H_raw||_F
+    is applied to every block so the stacked Frobenius norm squared
+    equals M * K exactly.
     """
+    users = np.asarray(users, dtype=float)
+    if users.ndim != 2 or users.shape[1] != 3:
+        raise ValueError(f"users must be K x 3, got shape {users.shape}")
+    if not np.isfinite(users).all():
+        raise NumericalDomainError("users contains non-finite entries")
     stacked = los_gain(users[None, :, :],
                        scenario.antenna_positions[:, None, :], wavelength_m)
-    p = scenario.p_count
+    blocks = stacked.reshape(scenario.p_count, scenario.antennas_per_panel,
+                             users.shape[0])
     # summed block by block: one sum over all M rows rounds differently
-    block_powers = np.sum(np.abs(stacked.reshape(p, -1, users.shape[0])) ** 2,
-                          axis=(1, 2))
-    power = sum(block_powers.tolist())
+    power = sum(np.sum(np.abs(blocks) ** 2, axis=(1, 2)).tolist())
     if power <= 0.0:
         raise DegenerateChannelError("raw channel is identically zero")
-    scale = math.sqrt(stacked.size / power)
-    return ChannelRealization(blocks=tuple(np.split(scale * stacked, p)))
+    stacked *= math.sqrt(stacked.size / power)
+    return ChannelRealization(blocks=tuple(blocks))

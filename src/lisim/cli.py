@@ -159,15 +159,10 @@ def _run_cells(blocks, cells, rho: float, passes: int):
     only through ``H^H H``, so the runs give the rates of the raw blocks
     up to rounding, and their traffic reports exactly. Short blocks
     (Mp <= K) run as they are. All cells go through one call of
-    ``chain._chains``, which checks every np against the raw blocks' Mp,
-    folds the IIC cells together and computes the ceiling once; a cell's
-    result is the same bit for bit whether it runs alone, as in
-    ``run_trial``, or with any other cells. A full-width cell (IIC with
-    np at least ``min(Mp, K)``, RMF with np at least K) keeps every
-    block's whole column space, so it is answered from the ceiling
-    without running: its rate is the ceiling, its trace is empty and its
-    equalizers are None, and its traffic is the run's. Returns an
-    iterator of one ChainResult per cell, in order.
+    ``chain._chains``, which checks every np against the raw blocks' Mp
+    and answers full-width cells from the ceiling; both cell contracts
+    are stated there. Returns an iterator of one ChainResult per cell,
+    in order.
     """
     factors = [numerics.user_side_factor(h) for h in blocks]
     return _chains(factors, rho, cells, passes, blocks[0].shape[0],
@@ -181,11 +176,11 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
     Runs the decentralized algorithm as a one-cell ``_run_cells`` on the
     blocks of ``trial_channel``, as ``run_sweep`` runs each cell, and
     returns its ChainResult. The rates are those of the raw blocks up to
-    rounding, and the traffic report is theirs exactly. A full-width
-    cell reports the ceiling as its rate, with an empty trace and no
-    equalizers (see ``_run_cells``). ``passes`` is checked for RMF too,
-    which makes one pass; ``passes_executed`` reports the passes the
-    cell makes. Fully deterministic given (config, seed, trial_index).
+    rounding, and the traffic report is theirs exactly; a full-width
+    cell is answered from the ceiling (see ``chain._chains``). ``passes``
+    is checked for RMF too, which makes one pass; ``passes_executed``
+    reports the passes the cell makes. Fully deterministic given
+    (config, seed, trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
     (result,) = _run_cells(chan.blocks, [(Algorithm(algorithm), np_outputs)],
@@ -303,9 +298,8 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     Each trial's cells (or those of one slice) are one ``_run_cells``
     call: the blocks are factored once, the cells share the factors and
     one ceiling, and the IIC cells fold the chain together, in one stack.
-    A cell's result does not depend on the cells it runs with, so its
-    rate in one trial is ``run_trial``'s bit for bit, and the raw blocks'
-    up to rounding.
+    By the cell contract of ``chain._chains``, a cell's rate in one trial
+    is ``run_trial``'s bit for bit, and the raw blocks' up to rounding.
 
     ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
     is replaced by ``spec.rho``, and its ``panel_side_m`` by each

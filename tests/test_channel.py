@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -160,16 +161,68 @@ class TestLosGain:
         with pytest.raises(NumericalDomainError):
             channel.los_gain([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.05)
 
-    @pytest.mark.parametrize("wavelength_m", [0.0, -0.05])
+    @pytest.mark.parametrize("wavelength_m", [0.0, -0.05, np.nan])
     def test_rejects_nonpositive_wavelength(self, wavelength_m):
         with pytest.raises(NumericalDomainError, match="wavelength"):
             channel.los_gain([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], wavelength_m)
+
+    def test_rejects_nan_depth(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="depth"):
+                channel.los_gain([0.0, 0.0, np.nan], [0.0, 0.0, 0.0], 0.05)
+
+    @pytest.mark.parametrize("side, mp", [(0.2, 16), (1.0, 400)])
+    def test_matches_long_double_formula(self, cfg, side, mp):
+        profile = replace(cfg, panel_side_m=side)
+        sc = channel.build_scenario(profile, mp)
+        for seed in range(5):
+            users = channel.sample_users(sc, profile,
+                                         np.random.default_rng(seed))
+            got = _panel_block(sc.antenna_positions, users, 0.05)
+            ref = _long_double_gain(users, sc.antenna_positions, 0.05)
+            assert _relative_error(got, ref) <= 2e-12
+
+    def test_phasor_has_unit_modulus(self, cfg):
+        sc = channel.build_scenario(cfg, 16)
+        users = channel.sample_users(sc, cfg, np.random.default_rng(0))
+        g = _panel_block(sc.antenna_positions, users, 0.05)
+        d = np.linalg.norm(users[None, :, :]
+                           - sc.antenna_positions[:, None, :], axis=-1)
+        amplitude = np.sqrt(users[:, 2]) / (2.0 * math.sqrt(math.pi) * d**1.5)
+        assert np.max(np.abs(np.abs(g) / amplitude - 1.0)) <= 2e-15
+
+    def test_far_user_phase_within_rounding_of_distance(self, rng):
+        antennas = rng.random((50, 3)) * [1.0, 1.0, 0.0]
+        users = rng.random((20, 3)) * [10.0, 10.0, 0.0] + [0.0, 0.0, 1000.0]
+        got = _panel_block(antennas, users, 0.05)
+        ref = _long_double_gain(users, antennas, 0.05)
+        # the rounding of d, at d / wavelength = 2e4 cycles, is the floor
+        bound = 8 * math.pi * (1000.0 / 0.05) * np.finfo(float).eps
+        assert _relative_error(got, ref) <= bound
 
 
 def _panel_block(antennas, users, wavelength_m):
     """Unnormalized Mp x K block: ``los_gain`` of each antenna and user."""
     return channel.los_gain(users[None, :, :],
                             antennas[:, None, :], wavelength_m)
+
+
+def _long_double_gain(users, antennas, wavelength_m):
+    """``los_gain``'s formula in long double, from the same float inputs."""
+    u = users.astype(np.longdouble)[None, :, :]
+    a = antennas.astype(np.longdouble)[:, None, :]
+    d = np.sqrt(np.sum((u - a) ** 2, axis=-1))
+    pi = 4 * np.arctan(np.longdouble(1))
+    amplitude = np.sqrt(u[..., 2]) / (2 * np.sqrt(pi) * d * np.sqrt(d))
+    phase = -2 * pi * d / np.longdouble(wavelength_m)
+    return amplitude * (np.cos(phase) + 1j * np.sin(phase))
+
+
+def _relative_error(got, ref):
+    """Largest ``|got - ref| / |ref|``, evaluated in long double."""
+    err = np.abs(got.astype(np.clongdouble) - ref) / np.abs(ref)
+    return float(np.max(err))
 
 
 class TestPanelChannel:
@@ -275,6 +328,23 @@ class TestRealizeChannel:
             assert len(chan.blocks) == len(raw)
             for got, b in zip(chan.blocks, raw):
                 np.testing.assert_array_equal(got, scale * b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_rejects_non_finite_user(self, cfg, bad, axis):
+        sc = channel.build_scenario(cfg, 16)
+        users = channel.sample_users(sc, cfg, np.random.default_rng(0))
+        users[3, axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="non-finite"):
+                channel.realize_channel(sc, users, cfg.wavelength_m)
+
+    @pytest.mark.parametrize("shape", [(20, 2), (20, 4), (60,), (1, 20, 3)])
+    def test_rejects_wrong_user_shape(self, cfg, shape):
+        sc = channel.build_scenario(cfg, 16)
+        with pytest.raises(ValueError, match="K x 3"):
+            channel.realize_channel(sc, np.ones(shape), cfg.wavelength_m)
 
     def test_deterministic_given_seed(self, cfg):
         sc = channel.build_scenario(cfg, 16)
