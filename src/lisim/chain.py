@@ -5,18 +5,14 @@ the same channel blocks and scores each against the blocks' one
 channel-capacity ceiling; ``run_iic_chain``, ``run_rmf`` and
 ``run_centralized`` are its one-cell calls. An IIC chain folds the local
 interference-cancellation step over the panels in scenario order,
-threading the Hermitian K x K accumulator from panel to panel; the
-first pass carries an inverse square-root factor of it instead. Further
-passes continue the same fold: each panel then steps against the
-accumulator less its own previous contribution. Chains over the same
-blocks at several output widths fold together, their state stacked, and
-each gets the bits it would get alone. The RMF cells of a
-call read their filters off one stack of the blocks and one column
-order, and each is scored by stacked SVDs and one R factor of its
-panels' rows, never panel by panel. Centralized
-execution reuses the exact same runner, so the resulting filters are
-bit-identical; only the interconnect accounting changes (full CSI upload
-instead of panel-to-panel messages).
+threading the Hermitian K x K accumulator from panel to panel as
+square-root factors, never formed; later passes step each panel against
+every other panel's latest contribution. A call's IIC cells fold
+together (``_iic_fold``), and its RMF cells read their filters off one
+stack of the blocks (``_rmf_cell``). Centralized execution reuses the
+exact same runner, so the resulting filters are bit-identical; only the
+interconnect accounting changes (full CSI upload instead of
+panel-to-panel messages).
 
 Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
@@ -83,12 +79,11 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     filters, the only per-panel state. In the first pass each panel steps
     against ``z`` and forwards ``z`` grown by its filter's projected Gram:
     the plain daisy chain of the envisioned hardware pipeline (the default
-    single pass). In later passes panel i first subtracts its previous
-    contribution, that Gram, and so re-optimizes against every other
-    panel's current contribution, which can only increase the objective;
-    the difference goes to the step as computed. How closely the filters
-    and the report's trace follow ``iic_local_step`` and
-    ``capacity.chain_capacity_trace`` is stated in ``_iic_fold``.
+    single pass). In later passes panel i steps against ``z`` without its
+    own previous Gram, and so re-optimizes against every other panel's
+    current contribution, which can only increase the objective. How
+    closely the filters and the report's trace follow ``iic_local_step``
+    and ``capacity.chain_capacity_trace`` is stated in ``_iic_fold``.
 
     This is the one-cell call of ``_chains``, the runner that
     ``lisim.cli`` gives all of a trial's cells at once.
@@ -212,16 +207,16 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     The first pass carries an inverse factor ``g`` of each accumulator,
     ``z^-1 = g^H g``, from I. A panel whitens its block to
     ``A = sqrt(rho) H g^H``, which has the left singular vectors of any
-    whitening against ``z``, and takes the thin SVD ``A = U S V^H``. As
-    ``z = F F^H`` for ``F = g^-1``, the kept columns ``_w`` move ``z`` to
-    ``F (I + V_w S_w^2 V_w^H) F^H``: so ``g`` moves to
-    ``(I + V_w S_w^2 V_w^H)^-1/2 g``, and the trace grows by
-    ``sum log2(1 + s_j^2)`` over the kept ``j``. Later passes hold ``z``
-    itself, the sum of the filters' projected Grams: panel i subtracts
-    its previous contribution, whitens against the Cholesky factor of
-    the rest and adds its new one. The last of them grows an R factor of
-    ``I + G_0 + ... + G_i`` from I by ``numerics.grown_factor``, as
-    ``capacity.chain_capacity_trace`` does, and reads entry i off it.
+    whitening against ``z``, and takes the thin SVD ``A = U S V^H``. The
+    kept columns ``_w`` move ``z = g^-1 g^-H`` to
+    ``g^-1 (I + V_w S_w^2 V_w^H) g^-H``, so ``g`` moves to
+    ``(I + V_w S_w^2 V_w^H)^-1/2 g`` and the trace grows by
+    ``sum log2(1 + s_j^2)`` over the kept ``j``. Later passes hold R
+    factors from ``numerics.grown_factor`` alone (the two-filter form): a
+    backward sweep grows ``S_i`` from the previous filters of panels i
+    onward; panel i whitens against the R factor of ``[F; S_i+1]`` and
+    grows ``F`` from I by its new filter, as ``chain_capacity_trace``
+    grows its factor, and trace entry i is read off ``F``.
 
     The contract: every filter spans what ``iic_local_step`` keeps from
     the same input, though its columns may differ in phase. A multi-pass
@@ -230,12 +225,10 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     ``I + rho H^H H``. Returns one ``(EqualizerSet, trace)`` per width.
     The blocks must be checked already.
     """
-    k = blocks[0].shape[1]
+    mp, k = blocks[0].shape
     identity = np.tile(np.eye(k, dtype=complex), (len(widths), 1, 1))
     filters = [[None] * len(blocks) for _ in widths]
     increments = np.empty((len(widths), len(blocks)))
-    # the explicit accumulator serves the later passes alone
-    z = identity.copy() if passes > 1 else None
     g = identity
     for i, h in enumerate(blocks):
         u, s, vh = numerics.svd((np.sqrt(rho) * h)
@@ -248,28 +241,28 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
                                                 * (vh @ g))
         for c, width in enumerate(keep):
             # a copy, so that the filters do not keep every u alive
-            filters[c][i] = w = u[c, :, :width].copy()
-            if z is not None:
-                z[c] += numerics.projected_gram(w, h, rho)
+            filters[c][i] = u[c, :, :width].copy()
     traces = np.cumsum(increments, axis=1)
-    # the last pass grows an R factor of I + G_0 + ... + G_i for the trace
-    factors = identity.copy()
-    for pass_index in range(1, passes):
-        last = pass_index == passes - 1
+    for _ in range(1, passes):
+        # S_P-1 down to S_1, the filters zero-padded to one width to stack
+        suffix = [np.zeros_like(identity)]
+        for i in range(len(blocks) - 1, 0, -1):
+            w = np.zeros((len(widths), mp, min(mp, k)), dtype=complex)
+            for pad, cell in zip(w, filters):
+                pad[:, :cell[i].shape[1]] = cell[i]
+            suffix.append(numerics.grown_factor(suffix[-1], w, blocks[i],
+                                                rho))
+        f = identity.copy()
         for i, h in enumerate(blocks):
-            # leave out each panel's contribution from the previous pass
-            for c, cell in enumerate(filters):
-                z[c] -= numerics.projected_gram(cell[i], h, rho)
-            u, s, _ = numerics.svd(numerics.whiten(h, numerics.cholesky(z),
-                                                   rho))
+            r = f if i == len(blocks) - 1 else np.linalg.qr(
+                np.concatenate([f, suffix.pop()], axis=1), mode="r")
+            u, s, _ = numerics.svd(numerics.whiten(
+                h, np.swapaxes(r.conj(), 1, 2), rho))
             for c, (width, rank) in enumerate(
                     zip(widths, numerics.numerical_rank(s))):
                 filters[c][i] = w = u[c, :, :min(width, rank)].copy()
-                z[c] += numerics.projected_gram(w, h, rho)
-                if last:
-                    factors[c] = numerics.grown_factor(factors[c], w, h, rho)
-            if last:
-                traces[:, i] = numerics.logdet2_factor(factors)
+                f[c] = numerics.grown_factor(f[c], w, h, rho)
+            traces[:, i] = numerics.logdet2_factor(f)
     return [(EqualizerSet(per_panel=tuple(
         PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
         for w in cell)), trace) for cell, trace in zip(filters, traces)]

@@ -179,11 +179,12 @@ def los_gain(user, antenna, wavelength_m: float):
     """
     user = np.asarray(user, dtype=float)
     antenna = np.asarray(antenna, dtype=float)
+    if not (np.isfinite(user).all() and np.isfinite(antenna).all()):
+        raise NumericalDomainError("non-finite user or antenna coordinate")
     z = user[..., 2]
-    # written so that a NaN depth or wavelength fails them too
     if not np.all(z > 0.0):
         raise NumericalDomainError("user depth must be strictly positive")
-    if not wavelength_m > 0.0:
+    if not wavelength_m > 0.0:  # written so that a NaN fails it too
         raise NumericalDomainError("wavelength must be positive")
     # x, y, z summed in order, as a sum over the last axis would, but with
     # no (..., 3) temporary: at M x K that temporary outgrows the cache
@@ -215,8 +216,6 @@ def realize_channel(scenario: Scenario, users: np.ndarray,
     users = np.asarray(users, dtype=float)
     if users.ndim != 2 or users.shape[1] != 3:
         raise ValueError(f"users must be K x 3, got shape {users.shape}")
-    if not np.isfinite(users).all():
-        raise NumericalDomainError("users contains non-finite entries")
     stacked = los_gain(users[None, :, :],
                        scenario.antenna_positions[:, None, :], wavelength_m)
     blocks = stacked.reshape(scenario.p_count, scenario.antennas_per_panel,

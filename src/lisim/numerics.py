@@ -3,13 +3,13 @@
 Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
 SVD, Cholesky factors and the base-2 log-determinants of Hermitian
 positive-definite matrices read off them (``log2 det(I + X)`` among them)
-or off eigenvalues (``log2_one_plus``), whitening against a Cholesky
+or off eigenvalues (``log2_one_plus``), whitening against a triangular
 factor, orthonormal range bases, the projected Gram
 ``rho (Q^H H)^H (Q^H H)`` that every captured covariance is made of,
-and the K x K user-side factor of a tall channel block. They
-return plain arrays, and ``numerical_rank`` holds the one rank rule. The
-SVD, Cholesky, whitening, log-determinant and rank kernels also take a
-stack of matrices and give each the bits it would get alone. All
+grown R factors and the K x K user-side factor of a tall channel block.
+They return plain arrays, and ``numerical_rank`` holds the one rank rule.
+The SVD, Cholesky, R-factor, whitening, log-determinant and rank kernels
+also take a stack of matrices and give each the bits it would get alone. All
 functions are pure and safe to call from concurrent workers. The kernels
 state their preconditions and check none: each input is checked once,
 by the public function it enters. Channel blocks and filters go through
@@ -83,8 +83,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     ``a`` must be a finite square ndarray, Hermitian as
     ``check_hermitian`` defines it; only its lower triangle is read.
     ``values`` is sorted descending, and both arrays are contiguous.
-    Nothing in lisim calls it since the chain whitens with the Cholesky
-    factor; it stays because ``benchmarks/tracing.py`` traces this name.
+    Nothing in lisim calls it since the chain whitens against triangular
+    factors; it stays because ``benchmarks/tracing.py`` traces this name.
     """
     values, basis = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending
@@ -160,15 +160,17 @@ def logdet2_hpd(a) -> float:
 def whiten(h: np.ndarray, chol: np.ndarray, rho: float) -> np.ndarray:
     """``sqrt(rho) H L^-H``: a block whitened against ``Z = L L^H``.
 
-    ``chol`` is the Cholesky factor of ``Z``, or a stack of them, which
-    gives the stack of whitened blocks. ``H Z^-1 H^H`` is the Gram of the
-    rows of ``H L^-H`` and of ``H Z^-1/2`` alike, so any square root of
-    ``Z`` whitens to the same left singular vectors.
+    ``chol`` is any lower-triangular ``L`` with ``Z = L L^H``, or a stack
+    of them, which gives the stack of whitened blocks. ``H Z^-1 H^H`` is
+    the Gram of the rows of ``H L^-H`` and of ``H Z^-1/2`` alike, so any
+    square root of ``Z`` whitens to the same left singular vectors.
     """
     # b as a stack of matrices, as numpy >= 2 would broadcast it
     rhs = np.broadcast_to(h.conj().T, chol.shape[:-1] + h.shape[:1])
-    solved = np.linalg.solve(chol, rhs)
-    return np.sqrt(rho) * np.swapaxes(solved.conj(), -1, -2)
+    # rows and columns reversed, L is upper triangular and the LU never
+    # pivots; on a graded L (rho near 1e300) pivoting rounds one to zero
+    solved = np.linalg.solve(chol[..., ::-1, ::-1], rhs[..., ::-1, :])
+    return np.sqrt(rho) * np.swapaxes(solved[..., ::-1, :].conj(), -1, -2)
 
 
 def log2_one_plus(gains):
@@ -215,10 +217,11 @@ def grown_factor(r: np.ndarray, q: np.ndarray, h: np.ndarray,
     """R factor of ``[R; sqrt(rho) Q^H H]``, K x K, for a K x K ``r``.
 
     Its Gram is ``R^H R + projected_gram(q, h, rho)``; neither Gram is
-    formed, so a rank-deficient term keeps its unit eigenvalues.
+    formed, so a rank-deficient term keeps its unit eigenvalues. Stacks
+    of ``r`` and ``q`` give the stack of factors.
     """
-    t = np.sqrt(rho) * (q.conj().T @ h)
-    return np.linalg.qr(np.vstack([r, t]), mode="r")
+    t = np.sqrt(rho) * (np.swapaxes(q.conj(), -1, -2) @ h)
+    return np.linalg.qr(np.concatenate([r, t], axis=-2), mode="r")
 
 
 def user_side_factor(h: np.ndarray) -> np.ndarray:

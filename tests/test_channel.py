@@ -166,11 +166,16 @@ class TestLosGain:
         with pytest.raises(NumericalDomainError, match="wavelength"):
             channel.los_gain([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], wavelength_m)
 
-    def test_rejects_nan_depth(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("point", [0, 1], ids=["user", "antenna"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejects_non_finite_coordinate(self, axis, point, bad):
+        points = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        points[point][axis] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalDomainError, match="depth"):
-                channel.los_gain([0.0, 0.0, np.nan], [0.0, 0.0, 0.0], 0.05)
+            with pytest.raises(NumericalDomainError, match="non-finite"):
+                channel.los_gain(*points, 0.05)
 
     @pytest.mark.parametrize("side, mp", [(0.2, 16), (1.0, 400)])
     def test_matches_long_double_formula(self, cfg, side, mp):

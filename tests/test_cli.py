@@ -799,14 +799,23 @@ class TestMain:
                          "--np", "4", "--rho", "1e14"])
         assert code == 0, capsys.readouterr().err
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a second pass whitens against the Cholesky factor of the explicit "
-        "accumulator, which is not positive definite to it at rho = 1e14 "
-        "after one-column filters"))
     def test_second_pass_runs_at_rho_1e14(self, capsys):
         code = cli.main(["trial", "--profile", "large", "--algo", "iic",
                          "--np", "1", "--rho", "1e14", "--passes", "2"])
         assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", [1e13, 1e16], ids=["1e13", "1e16"])
+    @pytest.mark.parametrize("passes", [2, 3])
+    def test_stacked_later_passes_run_at_high_snr(self, passes, rho):
+        # users at distinct sites; the accumulator is then too
+        # ill-conditioned to form, and later passes grow R factors of it
+        large = PanelProfile.LARGE
+        cfg = replace(ScenarioConfig(), panel_side_m=large.panel_side_m)
+        scenario = build_scenario(cfg, large.antennas_per_panel)
+        blocks = cli.trial_channel(scenario, cfg, 42, 0).blocks
+        cells = [(Algorithm.IIC, width) for width in (1, 4, 12)]
+        results = list(cli._run_cells(blocks, cells, rho, passes))
+        assert [r.passes_executed for r in results] == [passes] * 3
 
     @pytest.mark.parametrize("profile, np_arg", [
         ("small", "0"), ("small", "17"), ("large", "0"), ("large", "401")])

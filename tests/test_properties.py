@@ -6,7 +6,7 @@ fall below both its antenna count and the user count; every draw has more
 users than antennas per panel, or, for the tall blocks that the sweep
 factors to their K x K triangle, more antennas than users. The SNR spans
 rho in [1e-8, 1e9] and IIC runs one to three passes. One property runs
-single passes at rho in [1e9, 1e14], and one draws P, Mp and K in 1..5
+every pass count at rho in [1e9, 1e14], and one draws P, Mp and K in 1..5
 instead, with rho near overflow, in [1e280, 1.6e308].
 
 The draws are derandomized so the suite is reproducible. A randomized
@@ -158,13 +158,13 @@ def test_outputs_above_block_rank_change_nothing(inputs):
 @PROPERTY_SETTINGS
 @given(st.tuples(st.booleans(), st.booleans()).flatmap(
     lambda flags: chain_inputs(tall=flags[0], colocated=flags[1])),
-    st.floats(9.0, 14.0))
-def test_a_single_pass_runs_at_high_snr(inputs, log_rho):
+    st.floats(9.0, 14.0), st.integers(1, 3))
+def test_every_pass_count_runs_at_high_snr(inputs, log_rho, passes):
     blocks, _, _, _ = inputs
     rho = 10.0 ** log_rho
     cells = [(Algorithm.IIC, width)
              for width in range(1, blocks[0].shape[0] + 1)]
-    results = list(chain._chains(blocks, rho, cells, 1))
+    results = list(chain._chains(blocks, rho, cells, passes))
     assert len(results) == len(cells)
     for result in results:
         report = result.report
@@ -263,7 +263,7 @@ def test_batched_fold_is_a_fold_of_the_local_step(inputs):
 @given(st.booleans().flatmap(
     lambda tall: chain_inputs(tall=tall, colocated=True)), st.integers(2, 3))
 def test_multi_pass_trace_is_chain_capacity_trace(inputs, passes):
-    # the fold reads a multi-pass trace off its own Grams of the last pass
+    # the fold reads a multi-pass trace off its own forward R factor
     blocks, rho, _, _ = inputs
     widths = list(range(1, blocks[0].shape[0] + 1))
     for eq, trace in chain._iic_fold(blocks, rho, widths, passes):
