@@ -62,17 +62,16 @@ def sum_rate_full(h, w, rho: float) -> float:
     """Rate through a single dense filter, ``log2 det(I + rho H^H P H)``.
 
     ``P`` is the orthogonal projector onto the column space of ``w``,
-    obtained from an orthonormal range basis; the Gram inverse of the
-    full-rank formulation is never formed, so rank-deficient filters are
-    handled continuously.
+    ``Q Q^H`` for an orthonormal range basis ``Q``, so rank-deficient
+    filters are handled continuously. The rate is ``channel_capacity``
+    of the kept rows ``Q^H H``, which checks ``rho``.
     """
-    _check_rho(rho)
     h = numerics._as_matrix(h, "channel")
     w = numerics._as_matrix(w, "filter")
     if w.shape[0] != h.shape[0]:
         raise ValueError("channel and filter must share the antenna dimension")
     q = numerics.orthonormal_range(w)
-    return numerics.logdet2_eye_plus(numerics.projected_gram(q, h, rho))
+    return channel_capacity(q.conj().T @ h, rho)
 
 
 def channel_capacity(h, rho: float) -> float:
@@ -115,13 +114,13 @@ def _panel_filters(blocks, eq: EqualizerSet, rho: float):
 def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
     """Rate of the block-diagonal receiver.
 
-    Evaluates ``log2 det(I_K + rho sum_i H_i^H S_i H_i)`` with ``S_i``
-    the projector onto the i-th filter's column space; identical to
-    ``sum_rate_full`` on the assembled dense block-diagonal filter.
+    ``log2 det(I_K + rho sum_i H_i^H S_i H_i)``, ``S_i = Q_i Q_i^H`` the
+    projector onto the i-th filter's column space: ``channel_capacity``
+    of the stacked rows ``Q_i^H H_i``, as ``sum_rate_full`` on the dense
+    block-diagonal filter.
     """
-    return numerics.logdet2_eye_plus(sum(
-        numerics.projected_gram(q, h, rho)
-        for q, h in _panel_filters(blocks, eq, rho)))
+    return channel_capacity(np.vstack(
+        [q.conj().T @ h for q, h in _panel_filters(blocks, eq, rho)]), rho)
 
 
 def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
@@ -131,7 +130,7 @@ def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
     panels 0..i together. It is read off the R factor that
     ``numerics.grown_factor`` grows from I by each panel's term, so no
     ``I + G_0 + ... + G_i`` is rounded. The final entry is
-    ``sum_rate_panelized`` up to that rounding, and consecutive
+    ``sum_rate_panelized`` up to rounding, and consecutive
     differences are the per-panel increments of the chain steps.
     """
     pairs = _panel_filters(blocks, eq, rho)

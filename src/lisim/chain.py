@@ -32,7 +32,7 @@ from .equalizers import (EqualizerKind, EqualizerSet, PanelEqualizer,
 from .errors import ConfigError
 
 
-#: Panels per stacked SVD and Gram product of an RMF cell: slices keep a
+#: Panels per stacked SVD and R-factor update of an RMF cell: slices keep a
 #: cell's temporaries small next to its filters, at no cost in speed.
 _RMF_SLICE = 32
 
@@ -290,9 +290,9 @@ def _rmf_cell(stack, order, np_outputs: int, rho: float):
     ``numerical_rank``; here the rows of ``T = U^H H`` past a panel's
     rank are zeroed instead. The rate ``log2 det(I + rho sum_i T_i^H
     T_i)`` is read off the singular values of the R factor of all the
-    panels' rows, which each slice updates; like the ceiling, it never
-    forms ``I + rho sum_i T_i^H T_i``, so it is ``sum_rate_panelized``'s
-    up to that sum's rounding.
+    panels' rows, which each slice updates: ``sum_rate_panelized``'s
+    formula on the same rows, so the two agree up to the rounding of
+    factoring them in slices.
     """
     w = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
     k = stack.shape[2]
@@ -316,8 +316,8 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
     filter construction itself does not depend on the SNR; ``rho`` only
     enters the returned capacity report. The one-cell call of ``_chains``:
     the filters are ``rmf_filter``'s, built for all panels at once, and
-    the rate is ``capacity.sum_rate_panelized``'s up to rounding. The
-    blocks must all have one Mp x K shape; ConfigError otherwise.
+    the rate is ``capacity.sum_rate_panelized``'s formula on the same
+    rows. The blocks must all have one Mp x K shape; ConfigError otherwise.
     """
     (result,) = _chains(blocks, rho, [(Algorithm.RMF, np_outputs)], 1)
     return result

@@ -1,12 +1,12 @@
 """Dense complex-matrix kernels used by every other module.
 
 Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
-SVD, Cholesky factors and the base-2 log-determinants of Hermitian
-positive-definite matrices read off them (``log2 det(I + X)`` among them)
-or off eigenvalues (``log2_one_plus``), whitening against a triangular
-factor, orthonormal range bases, the projected Gram
-``rho (Q^H H)^H (Q^H H)`` that every captured covariance is made of,
-grown R factors and the K x K user-side factor of a tall channel block.
+SVD, Cholesky factors and the base-2 log-determinants read off them, off
+eigenvalues (``log2_one_plus``) or off the singular values of rows
+(``logdet2_eye_plus_gram``), whitening against a triangular factor,
+orthonormal range bases, the projected Gram ``rho (Q^H H)^H (Q^H H)``
+that every captured covariance is made of, grown R factors and the
+K x K user-side factor of a tall channel block.
 They return plain arrays, and ``numerical_rank`` holds the one rank rule.
 The SVD, Cholesky, R-factor, whitening, log-determinant and rank kernels
 also take a stack of matrices and give each the bits it would get alone. All
@@ -145,8 +145,8 @@ def logdet2_hpd(a) -> float:
 
     ``a`` must be a square ndarray, Hermitian as ``check_hermitian``
     defines it; only its lower triangle is read. Uses ``cholesky``, so
-    the determinant itself is never formed and the result is finite for
-    very large or very small determinants.
+    the determinant itself is never formed. Nothing in lisim calls it
+    since every rate is read off rows; ``benchmarks/tracing.py`` traces it.
 
     Raises
     ------
@@ -192,14 +192,6 @@ def logdet2_eye_plus_gram(a: np.ndarray, rho: float) -> float:
     gains = rho * np.linalg.svd(a, compute_uv=False) ** 2
     check_finite(gains)
     return float(log2_one_plus(gains))
-
-
-def logdet2_eye_plus(x: np.ndarray) -> float:
-    """``log2 det(I + X)`` of a Hermitian positive-semidefinite K x K ``x``.
-
-    ``I + X`` goes to ``logdet2_hpd`` as it is, under its precondition.
-    """
-    return logdet2_hpd(np.eye(x.shape[0]) + x)
 
 
 def projected_gram(q: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:

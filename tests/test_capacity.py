@@ -163,7 +163,7 @@ class TestChainCapacityTrace:
 
 
 class TestNonFiniteRates:
-    """A finite rho whose Grams overflow raises, not a NaN or inf rate."""
+    """A finite rho whose gains overflow raises, not a NaN or inf rate."""
 
     H = 2 * np.eye(3, 2, dtype=complex)
 

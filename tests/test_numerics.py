@@ -131,6 +131,38 @@ class TestLogdet2Hpd:
             numerics.logdet2_hpd(np.diag([1.0, -np.inf]))
 
 
+class TestLogdet2EyePlusGram:
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 4), (3, 6)],
+                             ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 1e3])
+    def test_matches_slogdet(self, crandn, shape, rho):
+        for _ in range(20):
+            a = crandn(*shape)
+            _, logdet = np.linalg.slogdet(np.eye(shape[1])
+                                          + rho * (a.conj().T @ a))
+            want = logdet / math.log(2.0)
+            got = numerics.logdet2_eye_plus_gram(a, rho)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_no_rows_is_zero(self):
+        assert numerics.logdet2_eye_plus_gram(
+            np.zeros((0, 3), dtype=complex), 1.0) == 0.0
+
+    def test_rank_one_closed_form_at_high_snr(self, crandn):
+        # h 1^T has one nonzero singular value, sqrt(K) ||h||; forming
+        # I + rho A^H A would round the other K - 1 unit eigenvalues away
+        h = crandn(5)
+        rho = 1e16
+        got = numerics.logdet2_eye_plus_gram(np.outer(h, np.ones(4)), rho)
+        want = math.log2(1.0 + rho * 4 * np.linalg.norm(h) ** 2)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_overflowing_gain_raises(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalDomainError, match="not finite"):
+                numerics.logdet2_eye_plus_gram(1e200 * np.eye(2), 1e10)
+
+
 class TestCholesky:
     @pytest.mark.parametrize("bad", [
         np.diag([np.inf, 1.0]),

@@ -7,13 +7,16 @@ users than antennas per panel, or, for the tall blocks that the sweep
 factors to their K x K triangle, more antennas than users. The SNR spans
 rho in [1e-8, 1e9] and IIC runs one to three passes. One property runs
 every pass count at rho in [1e9, 1e14], and one draws P, Mp and K in 1..5
-instead, with rho near overflow, in [1e280, 1.6e308].
+instead, with rho near overflow, in [1e280, 1.6e308]. The ceiling of
+users at one site and the RMF cell against its reference draw rho in
+[1e-8, 1e17]. One property sets a config field to a malformed value.
 
 The draws are derandomized so the suite is reproducible. A randomized
 search over the same space is ``--hypothesis-profile deep`` (registered
 in ``conftest.py``). The two rank-one cases at the end were found by it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,9 +27,11 @@ from hypothesis import strategies as st
 from lisim import capacity, chain, cli, numerics
 from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
 from lisim.chain import Algorithm
+from lisim.channel import ScenarioConfig
+from lisim.cli import SweepSpec
 from lisim.equalizers import (ChainMessage, EqualizerSet, iic_local_step,
                               rmf_filter)
-from lisim.errors import LisimError, NumericalDomainError
+from lisim.errors import ConfigError, LisimError, NumericalDomainError
 
 #: 40 derandomized draws, unless a profile other than Hypothesis's
 #: default was selected on the command line; then that profile's.
@@ -183,8 +188,17 @@ def test_ceiling_of_users_at_one_site(m, k, log_rho, seed):
     h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** (
         rng.uniform(-2.0, 1.0))
     rho = 10.0 ** log_rho
-    got = capacity.channel_capacity(np.outer(h, np.ones(k)), rho)
-    want = np.log1p(rho * k * np.linalg.norm(h) ** 2) / np.log(2.0)
+    big_h = np.outer(h, np.ones(k))
+    gain = rho * k * np.linalg.norm(h) ** 2
+    want = np.log1p(gain) / np.log(2.0)
+    for got in (capacity.channel_capacity(big_h, rho),
+                capacity.sum_rate_full(big_h, big_h, rho),
+                capacity.sum_rate_full(big_h, np.eye(m), rho)):
+        assert abs(got - want) <= 1e-9 * want
+    # two panels that see the same users double the one nonzero gain
+    eq = EqualizerSet(per_panel=(rmf_filter(big_h, min(m, k)),) * 2)
+    got = capacity.sum_rate_panelized([big_h, big_h], eq, rho)
+    want = np.log1p(2.0 * gain) / np.log(2.0)
     assert abs(got - want) <= 1e-9 * want
 
 
@@ -291,17 +305,17 @@ def test_a_cell_does_not_depend_on_its_batch(inputs, data):
 # a rank-one rounding defect.
 @PROPERTY_SETTINGS
 @given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
-       st.data())
-def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, data):
+       st.floats(-8.0, 17.0), st.data())
+def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, log_rho, data):
     # as lisim.cli runs them: on the user-side factors, with np up to the
     # raw Mp; a zero block gives its panel a rank-0 filter
-    blocks, rho, _, _ = inputs
+    blocks, _, _, _ = inputs
+    rho = 10.0 ** log_rho
     mp = blocks[0].shape[0]
     if data.draw(st.booleans()):
         blocks[data.draw(st.integers(0, len(blocks) - 1))] = np.zeros(
             blocks[0].shape, dtype=complex)
     factors = [numerics.user_side_factor(h) for h in blocks]
-    tol = max(1e-9, _rounding_bits(factors, rho))
     stack, order = chain._rmf_order(factors)
     for width in data.draw(st.lists(st.integers(1, mp), min_size=1,
                                     max_size=4)):
@@ -311,8 +325,9 @@ def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, data):
         for a, b in zip(eq, ref, strict=True):
             assert a.kind is b.kind and a.semi_unitary == b.semi_unitary
             np.testing.assert_array_equal(a.w, b.w)
+        # both read the rate off the singular values of the same rows
         want = capacity.sum_rate_panelized(factors, ref, rho)
-        assert abs(rate - want) <= tol
+        assert abs(rate - want) <= max(1e-9, 1e-11 * abs(want))
 
 
 def _outcomes(blocks, rho, cells, passes, max_np):
@@ -442,6 +457,25 @@ def test_overflow_is_a_lisim_error(inputs, data):
         assert np.isfinite([report.sum_rate_bits,
                             report.channel_capacity_bits]).all()
         assert np.isfinite(report.per_panel_cumulative).all()
+
+
+#: Malformed config values: wrong types, bools, out-of-range and
+#: non-finite numbers, numpy scalars, stray strings and tuples.
+MALFORMED_VALUES = ("1", None, [1], (), 2.5, True, -1, 0, math.nan, math.inf,
+                    np.int64(-3), np.float64(math.nan), "small", (1, 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(cls, f.name) for cls in (ScenarioConfig, SweepSpec)
+                        for f in dataclasses.fields(cls)]),
+       st.sampled_from(MALFORMED_VALUES))
+def test_a_malformed_config_field_is_a_config_error(field, value):
+    # a field set through replace is checked as the constructor checks it
+    cls, name = field
+    try:
+        dataclasses.replace(cls(), **{name: value})
+    except ConfigError:
+        pass
 
 
 def _one_site_blocks(p, mp, k, scale):
