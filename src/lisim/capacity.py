@@ -117,10 +117,10 @@ def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
     ``log2 det(I_K + rho sum_i H_i^H S_i H_i)``, ``S_i = Q_i Q_i^H`` the
     projector onto the i-th filter's column space: ``channel_capacity``
     of the stacked rows ``Q_i^H H_i``, as ``sum_rate_full`` on the dense
-    block-diagonal filter.
+    block-diagonal filter. No panels give ``log2 det I = 0``.
     """
-    return channel_capacity(np.vstack(
-        [q.conj().T @ h for q, h in _panel_filters(blocks, eq, rho)]), rho)
+    rows = [q.conj().T @ h for q, h in _panel_filters(blocks, eq, rho)]
+    return channel_capacity(np.vstack(rows), rho) if rows else 0.0
 
 
 def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:

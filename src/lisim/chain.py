@@ -18,7 +18,7 @@ Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -104,35 +104,37 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     return result
 
 
-def _chains(blocks, rho: float, cells, passes: int, max_np=None,
-            centralized: bool = False, full_width_from_ceiling: bool = False):
+def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     """One ChainResult per ``(algorithm, np)`` cell of the blocks, in order.
 
     Checks the blocks, which must all have one Mp x K shape, ``rho``,
-    ``passes`` and every np, which lies between 1 and ``max_np``: by
-    default the blocks' Mp, the raw Mp for a caller running on
-    ``numerics.user_side_factor`` factors. No filter keeps more columns
-    than a block has rows (IIC keeps ``min(np, rank)``, RMF at most K),
-    so np goes in as requested, and IIC counts ``P np`` backplane
-    outputs, the ones beyond a filter's width carrying zeros. The blocks'
-    one ceiling follows these checks, so an overflowing ``rho`` fails
-    there, before any cell. The IIC cells then fold together. RMF cells
-    are built as they are yielded, by ``_rmf_cell`` from the one stack
-    and column order that ``_rmf_order`` makes at the first of them.
-    Every report is checked against the ceiling. ``centralized`` counts
-    a central unit's CSI upload in place of chain messages.
+    ``passes`` and every np, which lies between 1 and Mp. No filter keeps
+    more columns than a block has rows (IIC keeps ``min(np, rank)``, RMF
+    at most K), so np goes in as requested, and IIC counts ``P np``
+    backplane outputs, the ones beyond a filter's width carrying zeros.
+    The blocks' one ceiling follows these checks, so an overflowing
+    ``rho`` fails there, before any cell. The IIC cells then fold
+    together. RMF cells are built as they are yielded, by ``_rmf_cell``
+    from the one stack and column order that ``_rmf_order`` makes at the
+    first of them. Every report is checked against the ceiling.
 
     A cell's result does not depend on the cells it runs with: it is the
     same bit for bit whichever cells share the call, or alone.
 
-    With ``full_width_from_ceiling``, a full-width cell is not run: IIC
-    with np at least the blocks' row count (``min(Mp, K)`` for factors),
-    or RMF with np at least K, keeps every block's whole column space, so
-    its rate is the ceiling.
-    Its result has that rate, an empty trace, no equalizers and the
-    traffic and passes a run would report. Only a caller that reads no
-    more than the rate may ask for this; the one-cell calls below keep
-    the full fold, which the acceptance criteria test.
+    ``rates_only`` is for callers that read no more than the rates and
+    the traffic, as ``lisim.cli`` does. The checked blocks are then
+    factored once, by ``numerics.user_side_factor``, and every cell and
+    the ceiling run on the factors: a tall block becomes its K x K
+    triangle ``R`` with ``R^H R = H^H H``. Every rate depends on a block
+    only through ``H^H H``, so the rates are the raw blocks' up to
+    rounding and the traffic reports theirs exactly; the filters are the
+    factors', of K rows on tall blocks (20 x 4, not 400 x 4, at np = 4 in
+    the large profile). A full-width cell is not run: IIC with np at least
+    ``min(Mp, K)``, or RMF with np at least K, keeps every block's whole
+    column space, so its rate is the ceiling. Its result has that rate,
+    an empty trace, no equalizers and the traffic and passes a run would
+    report. The one-cell calls below keep the raw blocks and the full
+    fold, which the acceptance criteria test.
     """
     if not blocks:
         raise ConfigError("at least one channel block is required")
@@ -142,23 +144,23 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
         if b.shape != (mp, k):
             raise ConfigError("all channel blocks must share one shape, got "
                               f"{(mp, k)} and {b.shape}")
-    if max_np is None:
-        max_np = mp
     for _, np_outputs in cells:
         if not numerics._is_int(np_outputs):
             raise ConfigError(
                 f"np_outputs must be an integer, got {np_outputs!r}")
-        if not 1 <= np_outputs <= max_np:
-            raise ConfigError(f"np must be between 1 and the {max_np} "
+        if not 1 <= np_outputs <= mp:
+            raise ConfigError(f"np must be between 1 and the {mp} "
                               f"antennas per panel, got {np_outputs}")
     if not numerics._is_finite_real(rho) or rho <= 0.0:
         raise ConfigError(f"rho must be positive and finite, got {rho}")
     if not numerics._is_int(passes) or passes < 1:
         raise ConfigError("passes must be an integer of at least 1")
+    if rates_only:
+        blocks = [numerics.user_side_factor(h) for h in blocks]
     ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
     full_width = {(algorithm, np_outputs) for algorithm, np_outputs in cells
-                  if full_width_from_ceiling and np_outputs
-                  >= (mp if algorithm is Algorithm.IIC else k)}
+                  if rates_only and np_outputs
+                  >= (min(mp, k) if algorithm is Algorithm.IIC else k)}
     widths = [np_outputs for algorithm, np_outputs in cells
               if algorithm is Algorithm.IIC
               and (algorithm, np_outputs) not in full_width]
@@ -184,12 +186,10 @@ def _chains(blocks, rho: float, cells, passes: int, max_np=None,
             channel_capacity_bits=ceiling)
         report.validate()
         traffic = TrafficReport(
-            chain_complex_scalars=(p - 1) * passes * k * k
-            if iic and not centralized else 0,
+            chain_complex_scalars=(p - 1) * passes * k * k if iic else 0,
             backplane_scalars_per_use=p * (np_outputs if iic
                                            else min(np_outputs, k)),
-            cpu_scalars_per_use=k,
-            centralized_csi_scalars=p * mp * k if centralized else 0)
+            cpu_scalars_per_use=k, centralized_csi_scalars=0)
         yield ChainResult(equalizers=eq_set, report=report, traffic=traffic,
                           passes_executed=passes if iic else 1)
 
@@ -335,5 +335,8 @@ def run_centralized(blocks, rho: float, np_outputs: int,
     shape; ConfigError otherwise.
     """
     (result,) = _chains(blocks, rho, [(Algorithm(algorithm), np_outputs)],
-                        passes, centralized=True)
-    return result
+                        passes)
+    mp, k = np.shape(blocks[0])
+    return replace(result, traffic=replace(
+        result.traffic, chain_complex_scalars=0,
+        centralized_csi_scalars=len(blocks) * mp * k))

@@ -149,42 +149,21 @@ def trial_channel(scenario: Scenario, cfg: ScenarioConfig, seed: int,
     return realize_channel(scenario, users, cfg.wavelength_m)
 
 
-def _run_cells(blocks, cells, rho: float, passes: int):
-    """Decentralized runs of one trial's blocks, one per (algorithm, np) cell.
-
-    The blocks are factored once, by ``numerics.user_side_factor``, and
-    every cell runs on the factors: a tall Mp x K block becomes its K x K
-    triangle ``R`` with ``R^H R = H^H H``, which is the block rotated by
-    a unitary with its zero rows dropped. Every rate depends on a block
-    only through ``H^H H``, so the runs give the rates of the raw blocks
-    up to rounding, and their traffic reports exactly. Short blocks
-    (Mp <= K) run as they are. All cells go through one call of
-    ``chain._chains``, which checks every np against the raw blocks' Mp
-    and answers full-width cells from the ceiling; both cell contracts
-    are stated there. Returns an iterator of one ChainResult per cell,
-    in order.
-    """
-    factors = [numerics.user_side_factor(h) for h in blocks]
-    return _chains(factors, rho, cells, passes, blocks[0].shape[0],
-                   full_width_from_ceiling=True)
-
-
 def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
               np_outputs: int, seed: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
 
-    Runs the decentralized algorithm as a one-cell ``_run_cells`` on the
-    blocks of ``trial_channel``, as ``run_sweep`` runs each cell, and
-    returns its ChainResult. The rates are those of the raw blocks up to
-    rounding, and the traffic report is theirs exactly; a full-width
-    cell is answered from the ceiling (see ``chain._chains``). ``passes``
-    is checked for RMF too, which makes one pass; ``passes_executed``
-    reports the passes the cell makes. Fully deterministic given
-    (config, seed, trial_index).
+    Runs the decentralized algorithm as a one-cell, rates-only
+    ``chain._chains`` call on the blocks of ``trial_channel``, as
+    ``run_sweep`` runs each cell, and returns its ChainResult, whose
+    contract is stated there. ``passes`` is checked for RMF too, which
+    makes one pass; ``passes_executed`` reports the passes the cell
+    makes. Fully deterministic given (config, seed, trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
-    (result,) = _run_cells(chan.blocks, [(Algorithm(algorithm), np_outputs)],
-                           cfg.snr_rho, passes)
+    (result,) = _chains(chan.blocks, cfg.snr_rho,
+                        [(Algorithm(algorithm), np_outputs)], passes,
+                        rates_only=True)
     return result
 
 
@@ -199,8 +178,9 @@ def _usable_cpus() -> int:
 def _trial_values(scenario, cfg, seed, cells, passes, indices):
     """(rate, ceiling, chain scalars) of every cell, for each trial index.
 
-    The SNR is ``cfg.snr_rho``, as in ``run_trial``. Each call synthesizes
-    its own channels, so any subset of a trial's cells can run anywhere.
+    The cells of a trial are one rates-only ``chain._chains`` call, at
+    ``cfg.snr_rho`` as in ``run_trial``. Each call synthesizes its own
+    channels, so any subset of a trial's cells can run anywhere.
     """
     values = []
     for t in indices:
@@ -208,8 +188,8 @@ def _trial_values(scenario, cfg, seed, cells, passes, indices):
         values.append([(r.report.sum_rate_bits,
                         r.report.channel_capacity_bits,
                         r.traffic.chain_complex_scalars)
-                       for r in _run_cells(chan.blocks, cells, cfg.snr_rho,
-                                           passes)])
+                       for r in _chains(chan.blocks, cfg.snr_rho, cells,
+                                        passes, rates_only=True)])
     return values
 
 
@@ -295,11 +275,12 @@ def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     byte for byte on one CPU or many.
     Rows are ordered by profile, then algorithm, then axis value.
 
-    Each trial's cells (or those of one slice) are one ``_run_cells``
-    call: the blocks are factored once, the cells share the factors and
-    one ceiling, and the IIC cells fold the chain together, in one stack.
-    By the cell contract of ``chain._chains``, a cell's rate in one trial
-    is ``run_trial``'s bit for bit, and the raw blocks' up to rounding.
+    Each trial's cells (or those of one slice) are one rates-only
+    ``chain._chains`` call: the blocks are factored once, the cells share
+    the factors and one ceiling, and the IIC cells fold the chain
+    together, in one stack. By the cell contracts stated there, a cell's
+    rate in one trial is ``run_trial``'s bit for bit, and the raw blocks'
+    up to rounding.
 
     ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
     is replaced by ``spec.rho``, and its ``panel_side_m`` by each

@@ -83,8 +83,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     ``a`` must be a finite square ndarray, Hermitian as
     ``check_hermitian`` defines it; only its lower triangle is read.
     ``values`` is sorted descending, and both arrays are contiguous.
-    Nothing in lisim calls it since the chain whitens against triangular
-    factors; it stays because ``benchmarks/tracing.py`` traces this name.
+    It stays because ``benchmarks/tracing.py`` traces this name.
     """
     values, basis = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending
@@ -145,8 +144,8 @@ def logdet2_hpd(a) -> float:
 
     ``a`` must be a square ndarray, Hermitian as ``check_hermitian``
     defines it; only its lower triangle is read. Uses ``cholesky``, so
-    the determinant itself is never formed. Nothing in lisim calls it
-    since every rate is read off rows; ``benchmarks/tracing.py`` traces it.
+    the determinant itself is never formed. It stays because
+    ``benchmarks/tracing.py`` traces this name.
 
     Raises
     ------

@@ -89,6 +89,13 @@ class TestSumRatePanelized:
                                       2.0)
         assert got == pytest.approx(want, abs=1e-9)
 
+    def test_no_panels_give_zero_bits(self):
+        # log2 det I, as chain_capacity_trace gives an empty trace; rho is
+        # still checked first
+        assert capacity.sum_rate_panelized([], raw_set(), 1.0) == 0.0
+        with pytest.raises(NumericalDomainError, match="rho"):
+            capacity.sum_rate_panelized([], raw_set(), -1.0)
+
     def test_filter_count_mismatch(self, crandn):
         with pytest.raises(ValueError):
             capacity.sum_rate_panelized([crandn(2, 2)], raw_set(np.eye(2),

@@ -240,3 +240,30 @@ def test_blocks_of_two_shapes_are_rejected(crandn, run):
     with pytest.raises(ConfigError,
                        match=r"one shape, got \(3, 2\) and \(4, 2\)"):
         run([crandn(3, 2), crandn(4, 2)])
+
+
+@pytest.mark.parametrize("blocks, error", [
+    ([], ConfigError),
+    ([np.ones(3)], ValueError),
+    ([[[1.0, 2j], [3.0, 4.0], [5.0, 6.0]]], None),
+], ids=["no-blocks", "1-D", "nested-list"])
+def test_rates_only_checks_blocks_as_run_iic_chain(blocks, error):
+    # the raw blocks are checked before they are factored
+    def rates_only():
+        (result,) = chain._chains(blocks, 1.0, [(Algorithm.IIC, 1)], 1,
+                                  rates_only=True)
+        return result
+
+    def full():
+        return chain.run_iic_chain(blocks, 1.0, 1)
+
+    if error is None:
+        assert rates_only().report.sum_rate_bits == pytest.approx(
+            full().report.sum_rate_bits, abs=1e-12)
+        return
+    messages = []
+    for run in (rates_only, full):
+        with pytest.raises(error) as exc:
+            run()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

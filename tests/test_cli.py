@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lisim import capacity, cli, numerics
+from lisim import capacity, chain, cli, numerics
 from lisim.chain import Algorithm, run_iic_chain, run_rmf
 from lisim.channel import ScenarioConfig, build_scenario
 from lisim.cli import PanelProfile, SweepAxis, SweepSpec
@@ -128,13 +128,15 @@ class TestRunTrial:
         cells = [(Algorithm.IIC, 3), (Algorithm.RMF, 3), (Algorithm.IIC, 6),
                  (Algorithm.RMF, 5)]
         for passes in (1, 2):
-            for result in cli._run_cells(blocks, cells, 2.0, passes):
+            for result in chain._chains(blocks, 2.0, cells, passes,
+                                        rates_only=True):
                 report = result.report
                 assert report.sum_rate_bits == report.channel_capacity_bits
                 assert report.per_panel_cumulative.size == 0
                 assert result.equalizers is None
         assert calls == []
-        list(cli._run_cells(blocks, [(Algorithm.IIC, 2)], 2.0, 1))
+        list(chain._chains(blocks, 2.0, [(Algorithm.IIC, 2)], 1,
+                           rates_only=True))
         assert len(calls) == 4
 
     def test_rejects_np_above_antenna_count(self):
@@ -814,7 +816,8 @@ class TestMain:
         scenario = build_scenario(cfg, large.antennas_per_panel)
         blocks = cli.trial_channel(scenario, cfg, 42, 0).blocks
         cells = [(Algorithm.IIC, width) for width in (1, 4, 12)]
-        results = list(cli._run_cells(blocks, cells, rho, passes))
+        results = list(chain._chains(blocks, rho, cells, passes,
+                                     rates_only=True))
         assert [r.passes_executed for r in results] == [passes] * 3
 
     @pytest.mark.parametrize("profile, np_arg", [
