@@ -21,10 +21,6 @@ CEILING_SLACK_BITS = 1e-6
 #: Allowed backward slack in monotone cumulative traces.
 MONOTONE_SLACK_BITS = 1e-9
 
-#: Rows per slice of a tall channel that ``channel_capacity`` factors on
-#: its own: on 4000 x 20 stacked blocks, twice as fast as one QR.
-_QR_ROWS = 512
-
 
 @dataclass(frozen=True)
 class CapacityReport:
@@ -32,7 +28,7 @@ class CapacityReport:
 
     ``per_panel_cumulative`` holds the running sum rate after each panel
     of a chain run. It is empty for algorithms without a chain pass, and
-    for a full-width cell (see ``chain._chains``).
+    for every rates-only cell (see ``chain._chains``).
     """
 
     sum_rate_bits: float
@@ -77,21 +73,15 @@ def sum_rate_full(h, w, rho: float) -> float:
 def channel_capacity(h, rho: float) -> float:
     """Capacity of the raw antenna interface, ``log2 det(I + rho H^H H)``.
 
-    Read off the singular values ``s`` of ``H`` (of its R factor, when
-    ``H`` is tall) as ``sum log2(1 + rho s^2)``, so that the unit
-    eigenvalues of ``I + rho H^H H`` are never rounded next to a large
-    one; see ``numerics.logdet2_eye_plus_gram``.
+    Read off the singular values ``s`` of ``numerics.user_side_factor``
+    of ``H`` as ``sum log2(1 + rho s^2)``, so that the unit eigenvalues
+    of ``I + rho H^H H`` are never rounded next to a large one; see
+    ``numerics.logdet2_eye_plus_gram``.
     """
     _check_rho(rho)
-    h = numerics._as_matrix(h, "channel")
-    if h.shape[0] > h.shape[1]:
-        # the R factors of row slices, then the R factor of their stack:
-        # an R of H, from copies small enough to stay in cache
-        slices = [np.linalg.qr(h[i:i + _QR_ROWS], mode="r")
-                  for i in range(0, len(h), _QR_ROWS)]
-        h = np.linalg.qr(np.vstack(slices), mode="r")
-        # the R factor of entries near overflow can itself overflow
-        numerics.check_finite(h)
+    h = numerics.user_side_factor(numerics._as_matrix(h, "channel"))
+    # the R factor of entries near overflow can itself overflow
+    numerics.check_finite(h)
     return numerics.logdet2_eye_plus_gram(h, rho)
 
 

@@ -10,9 +10,7 @@ square-root factors, never formed; later passes step each panel against
 every other panel's latest contribution. A call's IIC cells fold
 together (``_iic_fold``), and its RMF cells read their filters off one
 stack of the blocks (``_rmf_cell``). Centralized execution reuses the
-exact same runner, so the resulting filters are bit-identical; only the
-interconnect accounting changes (full CSI upload instead of
-panel-to-panel messages).
+same runner and changes only the traffic accounting.
 
 Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
@@ -61,7 +59,8 @@ class TrafficReport:
 class ChainResult:
     """Filters, capacity report, traffic accounting, and pass count.
 
-    ``equalizers`` is None for a full-width cell (see ``_chains``).
+    ``equalizers`` is None, and the report's trace empty, for a
+    rates-only cell; ``_chains`` states what each result carries.
     """
 
     equalizers: EqualizerSet | None
@@ -81,12 +80,11 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     the plain daisy chain of the envisioned hardware pipeline (the default
     single pass). In later passes panel i steps against ``z`` without its
     own previous Gram, and so re-optimizes against every other panel's
-    current contribution, which can only increase the objective. How
-    closely the filters and the report's trace follow ``iic_local_step``
-    and ``capacity.chain_capacity_trace`` is stated in ``_iic_fold``.
+    current contribution, which can only increase the objective.
 
     This is the one-cell call of ``_chains``, the runner that
-    ``lisim.cli`` gives all of a trial's cells at once.
+    ``lisim.cli`` gives all of a trial's cells at once; the result's
+    contract (filters, trace and rate) is stated there.
 
     Parameters
     ----------
@@ -114,27 +112,34 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     backplane outputs, the ones beyond a filter's width carrying zeros.
     The blocks' one ceiling follows these checks, so an overflowing
     ``rho`` fails there, before any cell. The IIC cells then fold
-    together. RMF cells are built as they are yielded, by ``_rmf_cell``
-    from the one stack and column order that ``_rmf_order`` makes at the
-    first of them. Every report is checked against the ceiling.
+    together (``_iic_fold``). RMF cells are built as they are yielded, by
+    ``_rmf_cell`` from the one stack and column order that ``_rmf_order``
+    makes at the first of them. Every report is checked against the
+    ceiling.
 
-    A cell's result does not depend on the cells it runs with: it is the
-    same bit for bit whichever cells share the call, or alone.
+    The cell contracts, stated here once. A cell's result does not
+    depend on the cells it runs with: it is the same bit for bit
+    whichever cells share the call, or alone. An IIC cell's filters span
+    what ``iic_local_step`` keeps from the same input, though their
+    columns may differ in phase; an RMF cell's are ``rmf_filter``'s bit
+    for bit, and its rate is ``capacity.sum_rate_panelized``'s formula
+    on the same rows. The one-cell calls below run on the raw blocks and
+    return the filters; an IIC result's trace is
+    ``capacity.chain_capacity_trace`` of them, its rate the trace's last
+    entry.
 
     ``rates_only`` is for callers that read no more than the rates and
-    the traffic, as ``lisim.cli`` does. The checked blocks are then
-    factored once, by ``numerics.user_side_factor``, and every cell and
-    the ceiling run on the factors: a tall block becomes its K x K
-    triangle ``R`` with ``R^H R = H^H H``. Every rate depends on a block
-    only through ``H^H H``, so the rates are the raw blocks' up to
-    rounding and the traffic reports theirs exactly; the filters are the
-    factors', of K rows on tall blocks (20 x 4, not 400 x 4, at np = 4 in
-    the large profile). A full-width cell is not run: IIC with np at least
+    the traffic, as ``lisim.cli`` does: every result then has no
+    equalizers and an empty trace. The checked blocks are factored once,
+    by ``numerics.user_side_factor``, and every cell and the ceiling run
+    on the factors, whose ``R^H R`` is the blocks' ``H^H H``. So the
+    rates are the raw blocks' up to rounding, and the traffic is theirs
+    exactly. A single-pass IIC rate is the sum of the fold's increments,
+    which carries the rounding of its inverse factor; a multi-pass one
+    is read off the fold's last R factor, as ``chain_capacity_trace``
+    reads it. A full-width cell is not run: IIC with np at least
     ``min(Mp, K)``, or RMF with np at least K, keeps every block's whole
-    column space, so its rate is the ceiling. Its result has that rate,
-    an empty trace, no equalizers and the traffic and passes a run would
-    report. The one-cell calls below keep the raw blocks and the full
-    fold, which the acceptance criteria test.
+    column space, so its rate is the ceiling.
     """
     if not blocks:
         raise ConfigError("at least one channel block is required")
@@ -170,17 +175,24 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     rmf = None
     for algorithm, np_outputs in cells:
         iic = algorithm is Algorithm.IIC
+        eq_set, trace = None, np.zeros(0)
         if (algorithm, np_outputs) in full_width:
-            eq_set, rate, trace = None, ceiling, np.zeros(0)
+            rate = ceiling
         elif iic:
-            eq_set, trace = folds.pop()
-            rate = float(trace[-1])
+            filters, rate = folds.pop()
         else:
             if rmf is None:
                 # stacked after the IIC fold, not beside its temporaries
                 rmf = _rmf_order(blocks)
-            eq_set, rate = _rmf_cell(*rmf, np_outputs, rho)
-            trace = np.zeros(0)
+            filters, rate = _rmf_cell(*rmf, np_outputs, rho)
+        if not rates_only:
+            # no cell is full width without rates_only
+            eq_set = EqualizerSet(per_panel=tuple(
+                PanelEqualizer(w=w, kind=EqualizerKind(algorithm.value),
+                               semi_unitary=iic) for w in filters))
+            if iic:
+                trace = capacity.chain_capacity_trace(blocks, eq_set, rho)
+                rate = float(trace[-1])
         report = capacity.CapacityReport(
             sum_rate_bits=rate, per_panel_cumulative=trace,
             channel_capacity_bits=ceiling)
@@ -210,39 +222,35 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     whitening against ``z``, and takes the thin SVD ``A = U S V^H``. The
     kept columns ``_w`` move ``z = g^-1 g^-H`` to
     ``g^-1 (I + V_w S_w^2 V_w^H) g^-H``, so ``g`` moves to
-    ``(I + V_w S_w^2 V_w^H)^-1/2 g`` and the trace grows by
+    ``(I + V_w S_w^2 V_w^H)^-1/2 g`` and the rate grows by
     ``sum log2(1 + s_j^2)`` over the kept ``j``. Later passes hold R
     factors from ``numerics.grown_factor`` alone (the two-filter form): a
     backward sweep grows ``S_i`` from the previous filters of panels i
     onward; panel i whitens against the R factor of ``[F; S_i+1]`` and
     grows ``F`` from I by its new filter, as ``chain_capacity_trace``
-    grows its factor, and trace entry i is read off ``F``.
+    grows its factor, and the rate is read off the last ``F``.
 
-    The contract: every filter spans what ``iic_local_step`` keeps from
-    the same input, though its columns may differ in phase. A multi-pass
-    trace is ``chain_capacity_trace`` of the filters bit for bit; a
-    single-pass trace is that up to the rounding of forming
-    ``I + rho H^H H``. Returns one ``(EqualizerSet, trace)`` per width.
-    The blocks must be checked already.
+    Returns one ``(filters, rate)`` per width, the filters a list of
+    per-panel arrays; ``_chains`` states what they are. The blocks must
+    be checked already.
     """
     mp, k = blocks[0].shape
     identity = np.tile(np.eye(k, dtype=complex), (len(widths), 1, 1))
     filters = [[None] * len(blocks) for _ in widths]
-    increments = np.empty((len(widths), len(blocks)))
+    rates = np.zeros(len(widths))
     g = identity
     for i, h in enumerate(blocks):
         u, s, vh = numerics.svd((np.sqrt(rho) * h)
                                 @ np.swapaxes(g.conj(), 1, 2))
         keep = np.minimum(widths, numerics.numerical_rank(s))
         gains = np.where(np.arange(s.shape[1]) < keep[:, None], s * s, 0.0)
-        increments[:, i] = numerics.log2_one_plus(gains)
+        rates += numerics.log2_one_plus(gains)
         shrink = 1.0 / np.sqrt(1.0 + gains) - 1.0
         g = g + np.swapaxes(vh.conj(), 1, 2) @ (shrink[:, :, None]
                                                 * (vh @ g))
         for c, width in enumerate(keep):
             # a copy, so that the filters do not keep every u alive
             filters[c][i] = u[c, :, :width].copy()
-    traces = np.cumsum(increments, axis=1)
     for _ in range(1, passes):
         # S_P-1 down to S_1, the filters zero-padded to one width to stack
         suffix = [np.zeros_like(identity)]
@@ -262,10 +270,8 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
                     zip(widths, numerics.numerical_rank(s))):
                 filters[c][i] = w = u[c, :, :min(width, rank)].copy()
                 f[c] = numerics.grown_factor(f[c], w, h, rho)
-            traces[:, i] = numerics.logdet2_factor(f)
-    return [(EqualizerSet(per_panel=tuple(
-        PanelEqualizer(w=w, kind=EqualizerKind.IIC, semi_unitary=True)
-        for w in cell)), trace) for cell, trace in zip(filters, traces)]
+        rates = numerics.logdet2_factor(f)
+    return [(cell, float(rate)) for cell, rate in zip(filters, rates)]
 
 
 def _rmf_order(blocks):
@@ -281,18 +287,17 @@ def _rmf_order(blocks):
 
 
 def _rmf_cell(stack, order, np_outputs: int, rho: float):
-    """One RMF cell over every panel at once: ``(EqualizerSet, rate)``.
+    """One RMF cell over every panel at once: ``(w, rate)``, the filters
+    ``w`` one P x Mp x min(np, K) stack.
 
-    The filters are ``rmf_filter``'s bit for bit, views of one
-    P x Mp x min(np, K) stack. Per slice of ``_RMF_SLICE`` panels, one
-    stacked SVD gives each filter's left singular vectors ``U``, of
-    which ``capacity.sum_rate_panelized`` keeps the leading
-    ``numerical_rank``; here the rows of ``T = U^H H`` past a panel's
-    rank are zeroed instead. The rate ``log2 det(I + rho sum_i T_i^H
-    T_i)`` is read off the singular values of the R factor of all the
-    panels' rows, which each slice updates: ``sum_rate_panelized``'s
-    formula on the same rows, so the two agree up to the rounding of
-    factoring them in slices.
+    Per slice of ``_RMF_SLICE`` panels, one stacked SVD gives each
+    filter's left singular vectors ``U``, of which
+    ``capacity.sum_rate_panelized`` keeps the leading ``numerical_rank``;
+    here the rows of ``T = U^H H`` past a panel's rank are zeroed
+    instead. The rate ``log2 det(I + rho sum_i T_i^H T_i)`` is read off
+    the singular values of the R factor of all the panels' rows, which
+    each slice updates, so it agrees with ``sum_rate_panelized`` up to
+    the rounding of factoring the rows in slices.
     """
     w = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
     k = stack.shape[2]
@@ -302,11 +307,7 @@ def _rmf_cell(stack, order, np_outputs: int, rho: float):
         t = np.swapaxes(u.conj(), 1, 2) @ stack[lo:lo + _RMF_SLICE]
         t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
         r = np.linalg.qr(np.vstack([r, t.reshape(-1, k)]), mode="r")
-    rate = numerics.logdet2_eye_plus_gram(r, rho)
-    eq_set = EqualizerSet(per_panel=tuple(
-        PanelEqualizer(w=h, kind=EqualizerKind.RMF, semi_unitary=False)
-        for h in w))
-    return eq_set, rate
+    return w, numerics.logdet2_eye_plus_gram(r, rho)
 
 
 def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
@@ -314,10 +315,9 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
 
     No panel-to-panel messages are needed, so chain traffic is zero. The
     filter construction itself does not depend on the SNR; ``rho`` only
-    enters the returned capacity report. The one-cell call of ``_chains``:
-    the filters are ``rmf_filter``'s, built for all panels at once, and
-    the rate is ``capacity.sum_rate_panelized``'s formula on the same
-    rows. The blocks must all have one Mp x K shape; ConfigError otherwise.
+    enters the returned capacity report. The one-cell call of
+    ``_chains``, where the result's contract is stated. The blocks must
+    all have one Mp x K shape; ConfigError otherwise.
     """
     (result,) = _chains(blocks, rho, [(Algorithm.RMF, np_outputs)], 1)
     return result

@@ -155,8 +155,9 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
 
     Runs the decentralized algorithm as a one-cell, rates-only
     ``chain._chains`` call on the blocks of ``trial_channel``, as
-    ``run_sweep`` runs each cell, and returns its ChainResult, whose
-    contract is stated there. ``passes`` is checked for RMF too, which
+    ``run_sweep`` runs each cell, and returns its ChainResult: rates,
+    traffic and passes, with no filters and no trace, by the rates-only
+    contract stated there. ``passes`` is checked for RMF too, which
     makes one pass; ``passes_executed`` reports the passes the cell
     makes. Fully deterministic given (config, seed, trial_index).
     """
@@ -179,7 +180,8 @@ def _trial_values(scenario, cfg, seed, cells, passes, indices):
     """(rate, ceiling, chain scalars) of every cell, for each trial index.
 
     The cells of a trial are one rates-only ``chain._chains`` call, at
-    ``cfg.snr_rho`` as in ``run_trial``. Each call synthesizes its own
+    ``cfg.snr_rho`` as in ``run_trial``; their contracts are stated
+    there. Each call synthesizes its own
     channels, so any subset of a trial's cells can run anywhere.
     """
     values = []

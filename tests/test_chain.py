@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lisim import capacity, chain, equalizers, numerics
+from lisim import capacity, chain, cli, equalizers, numerics
 from lisim.chain import Algorithm
+from lisim.channel import ScenarioConfig, build_scenario
+from lisim.cli import PanelProfile
 from lisim.equalizers import ChainMessage
 from lisim.errors import ConfigError, NumericalDomainError
 
@@ -92,17 +96,26 @@ class TestRunIicChain:
     def test_report_trace_is_chain_capacity_trace(self, crandn, passes, mp, k):
         blocks = random_blocks(crandn, 4, mp, k)
         result = chain.run_iic_chain(blocks, 2.0, 2, passes)
-        got = result.report.per_panel_cumulative
-        want = capacity.chain_capacity_trace(blocks, result.equalizers, 2.0)
-        if passes > 1:
-            np.testing.assert_array_equal(got, want)
-        else:
-            # read off the singular values the fold keeps, not off an R
-            # factor, so it may differ by the rounding of the accumulator
-            rounding = (k * 2.0 * np.linalg.norm(np.vstack(blocks), 2) ** 2
-                        * np.finfo(float).eps / np.log(2.0))
-            np.testing.assert_allclose(got, want, rtol=0.0,
-                                       atol=max(1e-9, rounding))
+        trace = result.report.per_panel_cumulative
+        np.testing.assert_array_equal(trace, capacity.chain_capacity_trace(
+            blocks, result.equalizers, 2.0))
+        assert result.report.sum_rate_bits == trace[-1]
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("width", [1, 4, 12])
+    @pytest.mark.parametrize("profile", list(PanelProfile),
+                             ids=lambda p: p.value)
+    def test_rate_is_the_reference_rate_of_its_filters(self, profile, width,
+                                                       passes):
+        # at rho = 1e9 the fold's own sum of single-pass increments is off
+        # by several times this bound; the one-cell rate is not
+        cfg = replace(ScenarioConfig(), panel_side_m=profile.panel_side_m)
+        scenario = build_scenario(cfg, profile.antennas_per_panel)
+        blocks = cli.trial_channel(scenario, cfg, 42, 0).blocks
+        res = chain.run_iic_chain(blocks, 1e9, width, passes)
+        rate = res.report.sum_rate_bits
+        want = capacity.sum_rate_panelized(blocks, res.equalizers, 1e9)
+        assert abs(rate - want) <= max(1e-9, 1e-12 * want)
 
     def test_pass_count_scales_traffic(self, crandn):
         blocks = random_blocks(crandn, 3, 3, 2)
@@ -179,6 +192,7 @@ class TestRunRmf:
         ref = chain.EqualizerSet(tuple(equalizers.rmf_filter(h, 2)
                                        for h in blocks))
         for a, b in zip(res.equalizers, ref, strict=True):
+            assert a.kind is b.kind and a.semi_unitary == b.semi_unitary
             np.testing.assert_array_equal(a.w, b.w)
         assert res.report.sum_rate_bits == pytest.approx(
             capacity.sum_rate_panelized(blocks, ref, 2.0), abs=1e-9)

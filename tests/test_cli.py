@@ -105,6 +105,15 @@ class TestRunTrial:
         assert a.report.sum_rate_bits != b.report.sum_rate_bits
 
     @pytest.mark.parametrize("algorithm", [Algorithm.IIC, Algorithm.RMF])
+    def test_results_carry_no_filters_and_no_trace(self, algorithm):
+        # rates only, full width or not: np = 4 keeps 4 of 16 antennas
+        cfg = ScenarioConfig()
+        scenario = build_scenario(cfg, 16)
+        result = cli.run_trial(scenario, cfg, algorithm, 4, 42, 0)
+        assert result.equalizers is None
+        assert result.report.per_panel_cumulative.size == 0
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.IIC, Algorithm.RMF])
     def test_full_width_filters_reach_capacity(self, algorithm):
         cfg = tiny_cfg()
         scenario = build_scenario(cfg, 16)
