@@ -8,7 +8,7 @@ interference-cancellation step over the panels in scenario order,
 threading the Hermitian K x K accumulator from panel to panel as
 square-root factors, never formed; later passes step each panel against
 every other panel's latest contribution. A call's IIC cells fold
-together (``_iic_fold``), and its RMF cells read their filters off one
+together (``_iic_fold``), and its RMF cells read their rates off one
 stack of the blocks (``_rmf_cell``). Centralized execution reuses the
 same runner and changes only the traffic accounting.
 
@@ -22,17 +22,11 @@ from enum import Enum
 import numpy as np
 
 from . import capacity, numerics
-# iic_local_step and rmf_filter are the references that the IIC fold and
-# the stacked RMF cells reproduce; they stay importable here, where
-# benchmarks/tracing.py looks them up
+# iic_local_step is the reference that the IIC fold reproduces; it stays
+# importable here, where benchmarks/tracing.py looks it up
 from .equalizers import (EqualizerKind, EqualizerSet, PanelEqualizer,
                          iic_local_step, rmf_filter)  # noqa: F401
 from .errors import ConfigError
-
-
-#: Panels per stacked SVD and R-factor update of an RMF cell: slices keep a
-#: cell's temporaries small next to its filters, at no cost in speed.
-_RMF_SLICE = 32
 
 
 class Algorithm(Enum):
@@ -112,7 +106,7 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     backplane outputs, the ones beyond a filter's width carrying zeros.
     The blocks' one ceiling follows these checks, so an overflowing
     ``rho`` fails there, before any cell. The IIC cells then fold
-    together (``_iic_fold``). RMF cells are built as they are yielded, by
+    together (``_iic_fold``). RMF cells are rated as they are yielded, by
     ``_rmf_cell`` from the one stack and column order that ``_rmf_order``
     makes at the first of them. Every report is checked against the
     ceiling.
@@ -121,8 +115,8 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     depend on the cells it runs with: it is the same bit for bit
     whichever cells share the call, or alone. An IIC cell's filters span
     what ``iic_local_step`` keeps from the same input, though their
-    columns may differ in phase; an RMF cell's are ``rmf_filter``'s bit
-    for bit, and its rate is ``capacity.sum_rate_panelized``'s formula
+    columns may differ in phase. RMF filters are built by ``rmf_filter``
+    alone, and an RMF rate is ``capacity.sum_rate_panelized``'s formula
     on the same rows. The one-cell calls below run on the raw blocks and
     return the filters; an IIC result's trace is
     ``capacity.chain_capacity_trace`` of them, its rate the trace's last
@@ -141,9 +135,9 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     ``min(Mp, K)``, or RMF with np at least K, keeps every block's whole
     column space, so its rate is the ceiling.
     """
+    blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
     if not blocks:
         raise ConfigError("at least one channel block is required")
-    blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
     p, (mp, k) = len(blocks), blocks[0].shape
     for b in blocks:
         if b.shape != (mp, k):
@@ -184,9 +178,11 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
             if rmf is None:
                 # stacked after the IIC fold, not beside its temporaries
                 rmf = _rmf_order(blocks)
-            filters, rate = _rmf_cell(*rmf, np_outputs, rho)
+            rate = _rmf_cell(*rmf, np_outputs, rho)
         if not rates_only:
             # no cell is full width without rates_only
+            if not iic:
+                filters = [rmf_filter(h, np_outputs).w for h in blocks]
             eq_set = EqualizerSet(per_panel=tuple(
                 PanelEqualizer(w=w, kind=EqualizerKind(algorithm.value),
                                semi_unitary=iic) for w in filters))
@@ -286,28 +282,30 @@ def _rmf_order(blocks):
     return stack, np.argsort(-norms, axis=-1, kind="stable")
 
 
-def _rmf_cell(stack, order, np_outputs: int, rho: float):
-    """One RMF cell over every panel at once: ``(w, rate)``, the filters
-    ``w`` one P x Mp x min(np, K) stack.
+def _rmf_cell(stack, order, np_outputs: int, rho: float) -> float:
+    """The rate of one RMF cell, over every panel at once.
 
-    Per slice of ``_RMF_SLICE`` panels, one stacked SVD gives each
-    filter's left singular vectors ``U``, of which
-    ``capacity.sum_rate_panelized`` keeps the leading ``numerical_rank``;
-    here the rows of ``T = U^H H`` past a panel's rank are zeroed
-    instead. The rate ``log2 det(I + rho sum_i T_i^H T_i)`` is read off
-    the singular values of the R factor of all the panels' rows, which
-    each slice updates, so it agrees with ``sum_rate_panelized`` up to
-    the rounding of factoring the rows in slices.
+    Per slice of ``numerics._QR_ROWS`` block rows (at least one panel),
+    one stacked SVD gives the left singular vectors ``U`` of each panel's
+    filter, its first ``np`` columns in ``order`` as ``rmf_filter`` keeps
+    them, of which ``capacity.sum_rate_panelized`` keeps the leading
+    ``numerical_rank``; here the rows of ``T = U^H H`` past a panel's rank
+    are zeroed instead. The rate ``log2 det(I + rho sum_i T_i^H T_i)`` is
+    read off the singular values of the R factor of all the panels' rows,
+    which each slice updates, so it agrees with ``sum_rate_panelized`` up
+    to the rounding of factoring the rows in slices.
     """
-    w = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
-    k = stack.shape[2]
+    p, mp, k = stack.shape
+    step = max(1, numerics._QR_ROWS // mp)
     r = np.zeros((0, k), dtype=complex)
-    for lo in range(0, len(w), _RMF_SLICE):
-        u, s, _ = numerics.svd(w[lo:lo + _RMF_SLICE])
-        t = np.swapaxes(u.conj(), 1, 2) @ stack[lo:lo + _RMF_SLICE]
+    for lo in range(0, p, step):
+        h = stack[lo:lo + step]
+        u, s, _ = numerics.svd(np.take_along_axis(
+            h, order[lo:lo + step, None, :np_outputs], axis=2))
+        t = np.swapaxes(u.conj(), 1, 2) @ h
         t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
         r = np.linalg.qr(np.vstack([r, t.reshape(-1, k)]), mode="r")
-    return w, numerics.logdet2_eye_plus_gram(r, rho)
+    return numerics.logdet2_eye_plus_gram(r, rho)
 
 
 def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:

@@ -34,8 +34,9 @@ TOL_HERMITIAN = 1e-10
 #: read only by ``numerical_rank``.
 RANK_TOL = 1e-10
 
-#: Rows per slice that ``user_side_factor`` factors on its own: on
-#: 4000 x 20 stacked blocks, twice as fast as one QR.
+#: The one row budget of a slice: ``user_side_factor`` factors slices of
+#: this many rows (on 4000 x 20 blocks, twice as fast as one QR), and
+#: ``chain._rmf_cell`` rates panels of at most as many rows per slice.
 _QR_ROWS = 512
 
 

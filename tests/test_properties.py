@@ -328,12 +328,9 @@ def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, log_rho, data):
     stack, order = chain._rmf_order(factors)
     for width in data.draw(st.lists(st.integers(1, mp), min_size=1,
                                     max_size=4)):
-        w, rate = chain._rmf_cell(stack, order, width, rho)
+        rate = chain._rmf_cell(stack, order, width, rho)
         ref = EqualizerSet(per_panel=tuple(rmf_filter(h, width)
                                            for h in factors))
-        assert len(w) == len(ref)
-        for a, b in zip(w, ref):
-            np.testing.assert_array_equal(a, b.w)
         # both read the rate off the singular values of the same rows
         want = capacity.sum_rate_panelized(factors, ref, rho)
         assert abs(rate - want) <= max(1e-9, 1e-11 * abs(want))
