@@ -8,9 +8,9 @@ interference-cancellation step over the panels in scenario order,
 threading the Hermitian K x K accumulator from panel to panel as
 square-root factors, never formed; later passes step each panel against
 every other panel's latest contribution. A call's IIC cells fold
-together (``_iic_fold``), and its RMF cells read their rates off one
-stack of the blocks (``_rmf_cell``). Centralized execution reuses the
-same runner and changes only the traffic accounting.
+together (``_iic_fold``), and a rates-only cell's rate is read off the
+rows that its filters keep (``_rows_rate``). Centralized execution
+reuses the same runner and changes only the traffic accounting.
 
 Traffic is counted in complex scalars; one complex scalar is two 8-byte
 reals, so multiply by 16 for bytes.
@@ -106,21 +106,21 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     backplane outputs, the ones beyond a filter's width carrying zeros.
     The blocks' one ceiling follows these checks, so an overflowing
     ``rho`` fails there, before any cell. The IIC cells then fold
-    together (``_iic_fold``). RMF cells are rated as they are yielded, by
-    ``_rmf_cell`` from the one stack and column order that ``_rmf_order``
-    makes at the first of them. Every report is checked against the
-    ceiling.
+    together (``_iic_fold``). RMF cells are rated as they are yielded,
+    from the one stack and column order that ``_rmf_order`` makes at the
+    first of them. Every report is checked against the ceiling.
 
     The cell contracts, stated here once. A cell's result does not
     depend on the cells it runs with: it is the same bit for bit
     whichever cells share the call, or alone. An IIC cell's filters span
     what ``iic_local_step`` keeps from the same input, though their
     columns may differ in phase. RMF filters are built by ``rmf_filter``
-    alone, and an RMF rate is ``capacity.sum_rate_panelized``'s formula
-    on the same rows. The one-cell calls below run on the raw blocks and
+    alone. Every rate that is not the ceiling is
+    ``capacity.sum_rate_panelized``'s formula on the rows that its cell's
+    filters keep, read by ``_rows_rate``; only a one-cell IIC rate grows
+    it panel by panel. The one-cell calls below run on the raw blocks and
     return the filters; an IIC result's trace is
-    ``capacity.chain_capacity_trace`` of them, its rate the trace's last
-    entry.
+    ``capacity.chain_capacity_trace`` of them, its rate the last entry.
 
     ``rates_only`` is for callers that read no more than the rates and
     the traffic, as ``lisim.cli`` does: every result then has no
@@ -128,10 +128,7 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     by ``numerics.user_side_factor``, and every cell and the ceiling run
     on the factors, whose ``R^H R`` is the blocks' ``H^H H``. So the
     rates are the raw blocks' up to rounding, and the traffic is theirs
-    exactly. A single-pass IIC rate is the sum of the fold's increments,
-    which carries the rounding of its inverse factor; a multi-pass one
-    is read off the fold's last R factor, as ``chain_capacity_trace``
-    reads it. A full-width cell is not run: IIC with np at least
+    exactly. A full-width cell is not run: IIC with np at least
     ``min(Mp, K)``, or RMF with np at least K, keeps every block's whole
     column space, so its rate is the ceiling.
     """
@@ -173,12 +170,18 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
         if (algorithm, np_outputs) in full_width:
             rate = ceiling
         elif iic:
-            filters, rate = folds.pop()
+            filters = folds.pop()
+            if rates_only:
+                rate = _rows_rate(blocks, lambda lo, hi: np.vstack([
+                    w.conj().T @ h
+                    for w, h in zip(filters[lo:hi], blocks[lo:hi])]), rho)
         else:
             if rmf is None:
                 # stacked after the IIC fold, not beside its temporaries
                 rmf = _rmf_order(blocks)
-            rate = _rmf_cell(*rmf, np_outputs, rho)
+            stack, order = rmf
+            rate = _rows_rate(blocks, lambda lo, hi: _rmf_rows(
+                stack[lo:hi], order[lo:hi], np_outputs), rho)
         if not rates_only:
             # no cell is full width without rates_only
             if not iic:
@@ -218,29 +221,24 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     whitening against ``z``, and takes the thin SVD ``A = U S V^H``. The
     kept columns ``_w`` move ``z = g^-1 g^-H`` to
     ``g^-1 (I + V_w S_w^2 V_w^H) g^-H``, so ``g`` moves to
-    ``(I + V_w S_w^2 V_w^H)^-1/2 g`` and the rate grows by
-    ``sum log2(1 + s_j^2)`` over the kept ``j``. Later passes hold R
-    factors from ``numerics.grown_factor`` alone (the two-filter form): a
-    backward sweep grows ``S_i`` from the previous filters of panels i
-    onward; panel i whitens against the R factor of ``[F; S_i+1]`` and
-    grows ``F`` from I by its new filter, as ``chain_capacity_trace``
-    grows its factor, and the rate is read off the last ``F``.
+    ``(I + V_w S_w^2 V_w^H)^-1/2 g``. Later passes hold R factors from
+    ``numerics.grown_factor`` alone (the two-filter form): a backward
+    sweep grows ``S_i`` from the previous filters of panels i onward;
+    panel i whitens against the R factor of ``[F; S_i+1]``, and all but
+    the last panel grow ``F`` from I by their new filter.
 
-    Returns one ``(filters, rate)`` per width, the filters a list of
-    per-panel arrays; ``_chains`` states what they are. The blocks must
-    be checked already.
+    Returns one list of per-panel filter arrays per width; ``_chains``
+    states what they are. The blocks must be checked already.
     """
     mp, k = blocks[0].shape
     identity = np.tile(np.eye(k, dtype=complex), (len(widths), 1, 1))
     filters = [[None] * len(blocks) for _ in widths]
-    rates = np.zeros(len(widths))
     g = identity
     for i, h in enumerate(blocks):
         u, s, vh = numerics.svd((np.sqrt(rho) * h)
                                 @ np.swapaxes(g.conj(), 1, 2))
         keep = np.minimum(widths, numerics.numerical_rank(s))
         gains = np.where(np.arange(s.shape[1]) < keep[:, None], s * s, 0.0)
-        rates += numerics.log2_one_plus(gains)
         shrink = 1.0 / np.sqrt(1.0 + gains) - 1.0
         g = g + np.swapaxes(vh.conj(), 1, 2) @ (shrink[:, :, None]
                                                 * (vh @ g))
@@ -265,9 +263,9 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
             for c, (width, rank) in enumerate(
                     zip(widths, numerics.numerical_rank(s))):
                 filters[c][i] = w = u[c, :, :min(width, rank)].copy()
-                f[c] = numerics.grown_factor(f[c], w, h, rho)
-        rates = numerics.logdet2_factor(f)
-    return [(cell, float(rate)) for cell, rate in zip(filters, rates)]
+                if i < len(blocks) - 1:
+                    f[c] = numerics.grown_factor(f[c], w, h, rho)
+    return filters
 
 
 def _rmf_order(blocks):
@@ -282,29 +280,30 @@ def _rmf_order(blocks):
     return stack, np.argsort(-norms, axis=-1, kind="stable")
 
 
-def _rmf_cell(stack, order, np_outputs: int, rho: float) -> float:
-    """The rate of one RMF cell, over every panel at once.
+def _rmf_rows(stack, order, np_outputs: int) -> np.ndarray:
+    """The rows ``T = U^H H`` of a stack of panels, as one K-column matrix.
 
-    Per slice of ``numerics._QR_ROWS`` block rows (at least one panel),
-    one stacked SVD gives the left singular vectors ``U`` of each panel's
-    filter, its first ``np`` columns in ``order`` as ``rmf_filter`` keeps
-    them, of which ``capacity.sum_rate_panelized`` keeps the leading
-    ``numerical_rank``; here the rows of ``T = U^H H`` past a panel's rank
-    are zeroed instead. The rate ``log2 det(I + rho sum_i T_i^H T_i)`` is
-    read off the singular values of the R factor of all the panels' rows,
-    which each slice updates, so it agrees with ``sum_rate_panelized`` up
-    to the rounding of factoring the rows in slices.
-    """
-    p, mp, k = stack.shape
+    ``U`` holds the left singular vectors of each panel's RMF filter (its
+    first np columns in ``order``, as ``rmf_filter`` keeps them); rows past
+    its ``numerical_rank``, which ``sum_rate_panelized`` drops, are zero."""
+    u, s, _ = numerics.svd(np.take_along_axis(
+        stack, order[:, None, :np_outputs], axis=2))
+    t = np.swapaxes(u.conj(), 1, 2) @ stack
+    t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
+    return t.reshape(-1, stack.shape[2])
+
+
+def _rows_rate(blocks, rows, rho: float) -> float:
+    """``log2 det(I + rho T^H T)`` of the rows ``T`` that a cell keeps.
+
+    ``rows(lo, hi)`` gives panels lo to hi - 1; each slice of at most
+    ``numerics._QR_ROWS`` block rows (at least one panel) updates the R
+    factor of all the rows: ``sum_rate_panelized``'s rate up to rounding."""
+    p, (mp, k) = len(blocks), blocks[0].shape
     step = max(1, numerics._QR_ROWS // mp)
     r = np.zeros((0, k), dtype=complex)
     for lo in range(0, p, step):
-        h = stack[lo:lo + step]
-        u, s, _ = numerics.svd(np.take_along_axis(
-            h, order[lo:lo + step, None, :np_outputs], axis=2))
-        t = np.swapaxes(u.conj(), 1, 2) @ h
-        t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
-        r = np.linalg.qr(np.vstack([r, t.reshape(-1, k)]), mode="r")
+        r = np.linalg.qr(np.vstack([r, rows(lo, lo + step)]), mode="r")
     return numerics.logdet2_eye_plus_gram(r, rho)
 
 
@@ -332,6 +331,7 @@ def run_centralized(blocks, rho: float, np_outputs: int,
     which makes a single pass. The blocks must all have one Mp x K
     shape; ConfigError otherwise.
     """
+    blocks = list(blocks)  # read twice: by _chains and for the traffic
     (result,) = _chains(blocks, rho, [(Algorithm(algorithm), np_outputs)],
                         passes)
     mp, k = np.shape(blocks[0])

@@ -36,7 +36,7 @@ RANK_TOL = 1e-10
 
 #: The one row budget of a slice: ``user_side_factor`` factors slices of
 #: this many rows (on 4000 x 20 blocks, twice as fast as one QR), and
-#: ``chain._rmf_cell`` rates panels of at most as many rows per slice.
+#: ``chain._rows_rate`` takes a cell's rows in whole panels, as many fit.
 _QR_ROWS = 512
 
 

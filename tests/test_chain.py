@@ -124,14 +124,35 @@ class TestRunIicChain:
                              ids=lambda p: p.value)
     def test_rate_is_the_reference_rate_of_its_filters(self, profile, width,
                                                        passes):
-        # at rho = 1e9 the fold's own sum of single-pass increments is off
-        # by several times this bound; the one-cell rate is not
+        # the one-cell rate, its trace's last entry, grows the same formula
+        # panel by panel; at 1e16 it misses this bound on rank-one terms
         cfg = replace(ScenarioConfig(), panel_side_m=profile.panel_side_m)
         scenario = build_scenario(cfg, profile.antennas_per_panel)
         blocks = cli.trial_channel(scenario, cfg, 42, 0).blocks
         res = chain.run_iic_chain(blocks, 1e9, width, passes)
         rate = res.report.sum_rate_bits
         want = capacity.sum_rate_panelized(blocks, res.equalizers, 1e9)
+        assert abs(rate - want) <= max(1e-9, 1e-12 * want)
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("width", [1, 4, 12])
+    @pytest.mark.parametrize("profile", list(PanelProfile),
+                             ids=lambda p: p.value)
+    def test_rates_only_rate_is_the_reference_rate_of_its_filters(
+            self, profile, width, passes):
+        # a rate summed from the fold's increments, or read off its forward
+        # R factor, was off by up to 1.4e4 times this bound at rho = 1e16
+        cfg = replace(ScenarioConfig(), panel_side_m=profile.panel_side_m)
+        scenario = build_scenario(cfg, profile.antennas_per_panel)
+        blocks = cli.trial_channel(scenario, cfg, 42, 0).blocks
+        (res,) = chain._chains(blocks, 1e16, [(Algorithm.IIC, width)],
+                               passes, rates_only=True)
+        factors = [numerics.user_side_factor(h) for h in blocks]
+        (filters,) = chain._iic_fold(factors, 1e16, [width], passes)
+        want = capacity.sum_rate_panelized(factors, chain.EqualizerSet(
+            tuple(equalizers.PanelEqualizer(w, equalizers.EqualizerKind.IIC,
+                                            True) for w in filters)), 1e16)
+        rate = res.report.sum_rate_bits
         assert abs(rate - want) <= max(1e-9, 1e-12 * want)
 
     def test_pass_count_scales_traffic(self, crandn):
@@ -297,11 +318,13 @@ def test_a_stack_of_blocks_runs_as_its_list(crandn, run):
 @pytest.mark.parametrize("run", [
     lambda blocks: chain.run_rmf(blocks, 1, 1.0),
     lambda blocks: chain.run_iic_chain(blocks, 1.0, 1),
-], ids=["run_rmf", "run_iic_chain"])
+    lambda blocks: chain.run_centralized(blocks, 1.0, 1, "iic"),
+], ids=["run_rmf", "run_iic_chain", "run_centralized"])
 def test_a_generator_of_blocks_runs_as_its_list(crandn, run):
     blocks = random_blocks(crandn, 3, 4, 2)
-    assert (run(iter(blocks)).report.sum_rate_bits
-            == run(blocks).report.sum_rate_bits)
+    generated, listed = run(iter(blocks)), run(blocks)
+    assert generated.report.sum_rate_bits == listed.report.sum_rate_bits
+    assert generated.traffic == listed.traffic
 
 
 @pytest.mark.parametrize("blocks, error", [
