@@ -1,10 +1,10 @@
 """Sum-rate capacity evaluation for panelized linear receivers.
 
-All rates are in bits (per channel use). Determinants are always
-evaluated on the K x K user side, which is tiny compared to the antenna
-count, and the filter enters only through the orthogonal projector onto
-its column space. Rank-deficient filters therefore degrade gracefully to
-a lower-rank projector instead of requiring an explicit Gram inverse.
+All rates are in bits (per channel use), and every one is
+``log2 det(I + rho T^H T)`` of the rows ``T`` a receiver keeps, read off
+the singular values of ``T`` or of an R factor of it. A filter enters
+only through its column space, so a rank-deficient filter keeps fewer
+rows instead of requiring an explicit Gram inverse.
 """
 
 from dataclasses import dataclass
@@ -116,19 +116,17 @@ def sum_rate_panelized(blocks, eq: EqualizerSet, rho: float) -> float:
 def chain_capacity_trace(blocks, eq: EqualizerSet, rho: float) -> np.ndarray:
     """Cumulative sum rate after each panel of a chain run.
 
-    Entry i, ``log2 det(I + G_0 + ... + G_i)``, is the rate delivered by
-    panels 0..i together. It is read off the R factor that
-    ``numerics.grown_factor`` grows from I by each panel's term, so no
-    ``I + G_0 + ... + G_i`` is rounded. The final entry is
-    ``sum_rate_panelized`` up to rounding, and consecutive
-    differences are the per-panel increments of the chain steps.
+    Entry i, ``log2 det(I + G_0 + ... + G_i)``, is ``sum_rate_panelized``
+    of panels 0..i, read off the R factor that ``numerics.grown_factor``
+    grows by each panel's rows ``Q_i^H H_i``. Consecutive differences are
+    the per-panel increments of the chain steps.
     """
     pairs = _panel_filters(blocks, eq, rho)
     if not pairs:
         return np.zeros(0)
-    r = np.eye(pairs[0][1].shape[1], dtype=complex)
+    r = np.zeros((0, pairs[0][1].shape[1]), dtype=complex)
     out = np.empty(len(pairs))
     for i, (q, h) in enumerate(pairs):
-        r = numerics.grown_factor(r, q, h, rho)
-        out[i] = numerics.logdet2_factor(r)
+        r = numerics.grown_factor(r, q.conj().T @ h)
+        out[i] = numerics.logdet2_eye_plus_gram(r, rho)
     return out

@@ -117,10 +117,10 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     columns may differ in phase. RMF filters are built by ``rmf_filter``
     alone. Every rate that is not the ceiling is
     ``capacity.sum_rate_panelized``'s formula on the rows that its cell's
-    filters keep, read by ``_rows_rate``; only a one-cell IIC rate grows
-    it panel by panel. The one-cell calls below run on the raw blocks and
-    return the filters; an IIC result's trace is
-    ``capacity.chain_capacity_trace`` of them, its rate the last entry.
+    filters keep, read by ``_rows_rate``. The one-cell calls below run on
+    the raw blocks and return the filters; an IIC result's trace is
+    ``capacity.chain_capacity_trace`` of them, that formula after each
+    panel, and its rate the last entry.
 
     ``rates_only`` is for callers that read no more than the rates and
     the traffic, as ``lisim.cli`` does: every result then has no
@@ -221,11 +221,12 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
     whitening against ``z``, and takes the thin SVD ``A = U S V^H``. The
     kept columns ``_w`` move ``z = g^-1 g^-H`` to
     ``g^-1 (I + V_w S_w^2 V_w^H) g^-H``, so ``g`` moves to
-    ``(I + V_w S_w^2 V_w^H)^-1/2 g``. Later passes hold R factors from
-    ``numerics.grown_factor`` alone (the two-filter form): a backward
-    sweep grows ``S_i`` from the previous filters of panels i onward;
-    panel i whitens against the R factor of ``[F; S_i+1]``, and all but
-    the last panel grow ``F`` from I by their new filter.
+    ``(I + V_w S_w^2 V_w^H)^-1/2 g``. Later passes hold R factors that
+    ``numerics.grown_factor`` grows (the two-filter form): a backward
+    sweep grows ``S_i`` by the rows ``sqrt(rho) W^H H`` of the previous
+    filters of panels i onward; panel i whitens against ``[F; S_i+1]``
+    grown into one factor, and all but the last panel grow ``F`` from I
+    by the rows of their new filter.
 
     Returns one list of per-panel filter arrays per width; ``_chains``
     states what they are. The blocks must be checked already.
@@ -252,19 +253,20 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
             w = np.zeros((len(widths), mp, min(mp, k)), dtype=complex)
             for pad, cell in zip(w, filters):
                 pad[:, :cell[i].shape[1]] = cell[i]
-            suffix.append(numerics.grown_factor(suffix[-1], w, blocks[i],
-                                                rho))
+            suffix.append(numerics.grown_factor(suffix[-1], np.sqrt(rho) * (
+                np.swapaxes(w.conj(), 1, 2) @ blocks[i])))
         f = identity.copy()
         for i, h in enumerate(blocks):
-            r = f if i == len(blocks) - 1 else np.linalg.qr(
-                np.concatenate([f, suffix.pop()], axis=1), mode="r")
+            r = f if i == len(blocks) - 1 else numerics.grown_factor(
+                f, suffix.pop())
             u, s, _ = numerics.svd(numerics.whiten(
                 h, np.swapaxes(r.conj(), 1, 2), rho))
             for c, (width, rank) in enumerate(
                     zip(widths, numerics.numerical_rank(s))):
                 filters[c][i] = w = u[c, :, :min(width, rank)].copy()
                 if i < len(blocks) - 1:
-                    f[c] = numerics.grown_factor(f[c], w, h, rho)
+                    f[c] = numerics.grown_factor(
+                        f[c], np.sqrt(rho) * (w.conj().T @ h))
     return filters
 
 
@@ -303,7 +305,7 @@ def _rows_rate(blocks, rows, rho: float) -> float:
     step = max(1, numerics._QR_ROWS // mp)
     r = np.zeros((0, k), dtype=complex)
     for lo in range(0, p, step):
-        r = np.linalg.qr(np.vstack([r, rows(lo, lo + step)]), mode="r")
+        r = numerics.grown_factor(r, rows(lo, lo + step))
     return numerics.logdet2_eye_plus_gram(r, rho)
 
 

@@ -1,14 +1,14 @@
 """Dense complex-matrix kernels used by every other module.
 
 Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
-SVD, Cholesky factors and the base-2 log-determinants read off them, off
-eigenvalues (``log2_one_plus``) or off the singular values of rows
-(``logdet2_eye_plus_gram``), whitening against a triangular factor,
-orthonormal range bases, the projected Gram ``rho (Q^H H)^H (Q^H H)``
-that every captured covariance is made of, grown R factors and the
-K x K user-side factor of a tall channel block.
+SVD, Cholesky factors, whitening against a triangular factor, orthonormal
+range bases, the projected Gram ``rho (Q^H H)^H (Q^H H)`` that every
+captured covariance is made of, R factors of rows (``grown_factor``, the
+one QR kernel, and the K x K ``user_side_factor`` of a tall block), and
+base-2 log-determinants read off eigenvalues (``log2_one_plus``) or off
+the singular values of rows (``logdet2_eye_plus_gram``, every rate).
 They return plain arrays, and ``numerical_rank`` holds the one rank rule.
-The SVD, Cholesky, R-factor, whitening, log-determinant and rank kernels
+The SVD, Cholesky, R-factor, whitening and rank kernels
 also take a stack of matrices and give each the bits it would get alone. All
 functions are pure and safe to call from concurrent workers. The kernels
 state their preconditions and check none: each input is checked once,
@@ -34,9 +34,9 @@ TOL_HERMITIAN = 1e-10
 #: read only by ``numerical_rank``.
 RANK_TOL = 1e-10
 
-#: The one row budget of a slice: ``user_side_factor`` factors slices of
-#: this many rows (on 4000 x 20 blocks, twice as fast as one QR), and
-#: ``chain._rows_rate`` takes a cell's rows in whole panels, as many fit.
+#: The one row budget of a slice: ``user_side_factor`` grows its factor by
+#: slices of this many rows (on 4000 x 20 blocks, twice as fast as one QR),
+#: and ``chain._rows_rate`` takes a cell's rows in whole panels, as many fit.
 _QR_ROWS = 512
 
 
@@ -131,34 +131,16 @@ def cholesky(a) -> np.ndarray:
         raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
 
 
-def logdet2_factor(chol):
-    """Base-2 log-determinant of ``L L^H`` from a triangular factor ``L``.
-
-    ``L`` is a Cholesky factor, or an R factor from ``grown_factor``,
-    which stands for ``R^H R``; one value per factor of a stack. Raises
-    ``check_finite``'s error if a squared diagonal entry overflows, as
-    the Gram it stands for would; a factor from ``cholesky`` never does.
-    """
-    diagonal = np.abs(np.diagonal(chol, axis1=-2, axis2=-1))
-    check_finite(diagonal * diagonal)
-    return 2.0 * np.log2(diagonal).sum(axis=-1)
-
-
 def logdet2_hpd(a) -> float:
-    """Base-2 log-determinant of a Hermitian positive-definite matrix.
+    """Base-2 log-determinant ``2 sum log2 |L_jj|`` of a Hermitian
+    positive-definite ``a = L L^H``, off its ``cholesky`` factor.
 
     ``a`` must be a square ndarray, Hermitian as ``check_hermitian``
-    defines it; only its lower triangle is read. Uses ``cholesky``, so
-    the determinant itself is never formed. It stays because
+    defines it; ``cholesky``'s errors pass through. It stays because
     ``benchmarks/tracing.py`` traces this name.
-
-    Raises
-    ------
-    NumericalDomainError
-        If the input has non-finite entries (``cholesky``'s one overflow
-        message) or is not positive definite.
     """
-    return float(logdet2_factor(cholesky(a)))
+    diagonal = np.abs(np.diagonal(cholesky(a)))
+    return float(2.0 * np.log2(diagonal).sum())
 
 
 def whiten(h: np.ndarray, chol: np.ndarray, rho: float) -> np.ndarray:
@@ -208,15 +190,13 @@ def projected_gram(q: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
     return rho * (t.conj().T @ t)
 
 
-def grown_factor(r: np.ndarray, q: np.ndarray, h: np.ndarray,
-                 rho: float) -> np.ndarray:
-    """R factor of ``[R; sqrt(rho) Q^H H]``, K x K, for a K x K ``r``.
+def grown_factor(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """R factor of the rows ``[R; T]``, whose Gram is ``R^H R + T^H T``.
 
-    Its Gram is ``R^H R + projected_gram(q, h, rho)``; neither Gram is
-    formed, so a rank-deficient term keeps its unit eigenvalues. Stacks
-    of ``r`` and ``q`` give the stack of factors.
+    No Gram is formed, so a rank-deficient term keeps its unit
+    eigenvalues; ``r`` may have no rows. Every QR of rows in lisim is
+    this call, and a stack gives each matrix the bits it gets alone.
     """
-    t = np.sqrt(rho) * (np.swapaxes(q.conj(), -1, -2) @ h)
     return np.linalg.qr(np.concatenate([r, t], axis=-2), mode="r")
 
 
@@ -232,10 +212,10 @@ def user_side_factor(h: np.ndarray) -> np.ndarray:
     """
     if h.shape[0] <= h.shape[1]:
         return h
-    # the R of the stacked R factors of row slices, which stay in cache
-    slices = [np.linalg.qr(h[i:i + _QR_ROWS], mode="r")
-              for i in range(0, len(h), _QR_ROWS)]
-    return np.linalg.qr(np.vstack(slices), mode="r")
+    r = h[:0]
+    for i in range(0, len(h), _QR_ROWS):
+        r = grown_factor(r, h[i:i + _QR_ROWS])
+    return r
 
 
 def numerical_rank(s):

@@ -254,8 +254,30 @@ class TestAsMatrix:
         np.testing.assert_array_equal(out, np.asarray(a))
 
 
+class TestGrownFactor:
+    @pytest.mark.parametrize("rows, k, extra", [(0, 4, 6), (4, 4, 2),
+                                                (4, 4, 0), (3, 5, 1)])
+    def test_gram_is_the_sum_of_the_grams(self, crandn, rows, k, extra):
+        r = np.triu(crandn(rows, k))
+        t = crandn(extra, k)
+        grown = numerics.grown_factor(r, t)
+        assert grown.shape == (min(rows + extra, k), k)
+        assert np.all(np.tril(grown, -1) == 0.0)
+        gram = r.conj().T @ r + t.conj().T @ t
+        assert reconstruction_error(gram, grown.conj().T @ grown) <= 1e-13
+
+    def test_a_stack_gives_each_matrix_its_bits_alone(self, crandn):
+        r = np.stack([np.triu(crandn(5, 5)) for _ in range(3)])
+        t = np.stack([crandn(7, 5) for _ in range(3)])
+        stacked = numerics.grown_factor(r, t)
+        for c in range(3):
+            np.testing.assert_array_equal(
+                stacked[c], numerics.grown_factor(r[c], t[c]))
+
+
 class TestUserSideFactor:
-    @pytest.mark.parametrize("shape", [(5, 4), (12, 3), (400, 20)])
+    @pytest.mark.parametrize("shape", [(5, 4), (12, 3), (400, 20),
+                                       (1100, 20)])
     def test_tall_block_gives_triangle_with_same_gram(self, crandn, shape):
         h = crandn(*shape)
         r = numerics.user_side_factor(h)

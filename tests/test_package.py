@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -49,16 +50,47 @@ def test_cli_import_leaves_out_scipy_and_the_process_pool():
     assert done.stdout == "[]\n"
 
 
-def test_every_benchmark_tracer_site_resolves():
-    # the tracer patches each name where its caller looks it up, so a
-    # rename would silently drop a span from the traced benchmark runs
+def _tracer_sites():
     spec = importlib.util.spec_from_file_location("tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.SITES
-    for module, attr, span in tracing.SITES:
+    return tracing.SITES
+
+
+def test_every_benchmark_tracer_site_resolves():
+    # the tracer patches each name where its caller looks it up, so a
+    # rename would silently drop a span from the traced benchmark runs
+    sites = _tracer_sites()
+    assert sites
+    for module, attr, span in sites:
         target = getattr(importlib.import_module(module), attr, None)
         assert callable(target), (module, attr, span)
+
+
+def test_every_numerics_function_has_a_caller():
+    # a public kernel that no library code calls, outside its own body,
+    # and that the benchmark tracer does not wrap, has no reason to stay
+    src = Path(lisim.__file__).resolve().parent
+    public = {node.name for node in ast.parse(
+        (src / "numerics.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in src.glob("*.py"):
+        inside = path.name == "numerics.py"
+        for statement in ast.parse(path.read_text()).body:
+            own = (statement.name if inside
+                   and isinstance(statement, ast.FunctionDef) else None)
+            # numerics.f(...) elsewhere, a bare f(...) inside numerics
+            for node in ast.walk(statement):
+                f = getattr(node, "func", None)
+                if isinstance(f, ast.Attribute) and isinstance(
+                        f.value, ast.Name) and f.value.id == "numerics":
+                    called.add(f.attr)
+                elif inside and isinstance(f, ast.Name) and f.id != own:
+                    called.add(f.id)
+    traced = {attr for module, attr, _ in _tracer_sites()
+              if module == "lisim.numerics"}
+    assert sorted(public - called - traced) == []
 
 
 def _rho_calls():

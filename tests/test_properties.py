@@ -9,7 +9,8 @@ rho in [1e-8, 1e9] and IIC runs one to three passes. One property runs
 every pass count at rho in [1e9, 1e14], and one draws P, Mp and K in 1..5
 instead, with rho near overflow, in [1e280, 1.6e308]. The ceiling of
 users at one site and the RMF cell against its reference draw rho in
-[1e-8, 1e17]. One property sets a config field to a malformed value.
+[1e-8, 1e17], and the IIC rates and trace entries against theirs in
+[1e-8, 1e16]. One property sets a config field to a malformed value.
 
 The draws are derandomized so the suite is reproducible. Hypothesis
 folds the literals and strings of ``src/lisim`` into its derandomized
@@ -305,6 +306,27 @@ def test_a_rates_only_iic_rate_is_the_rows_rate_of_its_filters(inputs,
         want = capacity.sum_rate_panelized(factors, _iic_set(filters), rho)
         rate = got.report.sum_rate_bits
         assert abs(rate - want) <= max(1e-9, 1e-12 * abs(want))
+
+
+# The fold itself, not run_iic_chain: its ceiling check could stop a
+# draw on a rank-one rounding defect.
+@PROPERTY_SETTINGS
+@given(st.tuples(st.booleans(), st.booleans()).flatmap(
+    lambda flags: chain_inputs(tall=flags[0], colocated=flags[1])),
+    st.floats(-8.0, 16.0))
+def test_a_trace_entry_is_the_rate_of_its_panels(inputs, log_rho):
+    # entry i and sum_rate_panelized of panels 0..i both read the
+    # singular values of an R factor of the same kept rows
+    blocks, _, passes, _ = inputs
+    rho = 10.0 ** log_rho
+    widths = list(range(1, blocks[0].shape[0] + 1))
+    for filters in chain._iic_fold(blocks, rho, widths, passes):
+        eq = _iic_set(filters)
+        trace = capacity.chain_capacity_trace(blocks, eq, rho)
+        for i, got in enumerate(trace):
+            want = capacity.sum_rate_panelized(
+                blocks[:i + 1], EqualizerSet(eq.per_panel[:i + 1]), rho)
+            assert abs(got - want) <= max(1e-9, 1e-12 * abs(want))
 
 
 @PROPERTY_SETTINGS
