@@ -172,9 +172,9 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
         elif iic:
             filters = folds.pop()
             if rates_only:
-                rate = _rows_rate(blocks, lambda lo, hi: np.vstack([
-                    w.conj().T @ h
-                    for w, h in zip(filters[lo:hi], blocks[lo:hi])]), rho)
+                rate = _rows_rate(blocks, lambda lo, hi: (np.swapaxes(_padded(
+                    filters[lo:hi], len(blocks[0]), np_outputs).conj(), 1, 2)
+                    @ np.stack(blocks[lo:hi])).reshape(-1, k), rho)
         else:
             if rmf is None:
                 # stacked after the IIC fold, not beside its temporaries
@@ -250,9 +250,7 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
         # S_P-1 down to S_1, the filters zero-padded to one width to stack
         suffix = [np.zeros_like(identity)]
         for i in range(len(blocks) - 1, 0, -1):
-            w = np.zeros((len(widths), mp, min(mp, k)), dtype=complex)
-            for pad, cell in zip(w, filters):
-                pad[:, :cell[i].shape[1]] = cell[i]
+            w = _padded([cell[i] for cell in filters], mp, min(mp, k))
             suffix.append(numerics.grown_factor(suffix[-1], np.sqrt(rho) * (
                 np.swapaxes(w.conj(), 1, 2) @ blocks[i])))
         f = identity.copy()
@@ -268,6 +266,14 @@ def _iic_fold(blocks, rho: float, widths, passes: int):
                     f[c] = numerics.grown_factor(
                         f[c], np.sqrt(rho) * (w.conj().T @ h))
     return filters
+
+
+def _padded(filters, rows: int, width: int) -> np.ndarray:
+    """The filters stacked as ``rows x width`` matrices, zero-padded."""
+    w = np.zeros((len(filters), rows, width), dtype=complex)
+    for pad, f in zip(w, filters):
+        pad[:, :f.shape[1]] = f
+    return w
 
 
 def _rmf_order(blocks):

@@ -195,24 +195,25 @@ def _trial_values(scenario, cfg, seed, cells, passes, indices):
     return values
 
 
+def _send_outcome(recv, send, run, task):
+    """Send ``(True, run(*task))``, or ``(False, exception)`` if it raises;
+    an exception that cannot be pickled ends the worker with none sent."""
+    recv.close()  # else a full pipe blocks for ever once the caller dies
+    try:
+        outcome = (True, run(*task))
+    except Exception as exc:
+        outcome = (False, exc)
+    send.send(outcome)
+
+
 def _run_trials(scenario, cfg, seed, cells, passes, trials):
     """``_trial_values`` of trials ``0 .. trials - 1``, in trial order.
 
-    The work is dealt round-robin into one task per (worker i, slice j):
-    trials ``i, i + workers, ...`` and, of each, cells ``j, j + slices,
-    ...``. There is one worker per usable CPU, or per trial with fewer
-    trials, and ``min(cpus // trials, len(cells))`` slices (an IIC cell
-    takes several times an RMF cell, so each slice gets both). Forked
-    processes run every task but the first, which this process runs
-    meanwhile, and the values are scattered back with the same strides.
-    Forking shares the imported modules: a spawned worker would first
-    import numpy and lisim, which takes longer than three large-profile
-    trials, so without ``os.fork`` one CPU is used. Only the values cross
-    the process boundary, and a worker's exception is raised here with
-    its type and message; a worker killed from outside raises
-    ``BrokenProcessPool`` rather than leaving the sweep waiting. With one
-    task (one usable CPU, or one trial of one cell) everything runs here
-    and no process is started.
+    Task (i, j) takes trials ``i, i + workers, ...`` and, of each, cells
+    ``j, j + slices, ...``, so that each slice gets IIC and RMF cells.
+    This process runs task 0, and a process forked for each other task
+    sends its values, or its exception, back on its own pipe. A worker
+    that dies first raises ``BrokenProcessPool``; none outlives the call.
     """
     run = partial(_trial_values, scenario, cfg, seed)
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
@@ -223,12 +224,30 @@ def _run_trials(scenario, cfg, seed, cells, passes, trials):
     if len(tasks) == 1:
         return run(*tasks[0])
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            len(tasks) - 1,
-            mp_context=multiprocessing.get_context("fork")) as pool:
-        pending = [pool.submit(run, *task) for task in tasks[1:]]
-        parts = [run(*tasks[0])] + [task.result() for task in pending]
+    fork = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for task in tasks[1:]:
+            recv, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_send_outcome,
+                                args=(recv, send, run, task))
+            proc.start()
+            send.close()  # so that a dead worker's pipe reads EOFError
+            procs.append((proc, recv))
+        parts = [run(*tasks[0])]
+        for _, recv in procs:  # before any join: a result may fill the pipe
+            try:
+                ok, part = recv.recv()
+            except EOFError:
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a sweep worker died") from None
+            if not ok:
+                raise part
+            parts.append(part)
+    finally:
+        for proc, _ in procs:
+            proc.terminate()
+            proc.join()
     values = [[None] * len(cells) for _ in range(trials)]
     for n, part in enumerate(parts):
         i, j = divmod(n, slices)

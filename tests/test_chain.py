@@ -157,6 +157,29 @@ class TestRunIicChain:
         rate = res.report.sum_rate_bits
         assert abs(rate - want) <= max(1e-9, 1e-12 * want)
 
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_rates_only_rate_pads_the_filters_of_rank_deficient_panels(
+            self, crandn, passes):
+        # a rank-1 and a zero panel keep filters narrower than np, which
+        # the rates-only rows zero-pad to stack them
+        blocks = random_blocks(crandn, 4, 6, 5)
+        blocks[1] = crandn(6, 1) @ crandn(1, 5)
+        blocks[2] = np.zeros((6, 5), dtype=complex)
+        widths = [1, 2, 3, 4]
+        factors = [numerics.user_side_factor(h) for h in blocks]
+        folds = chain._iic_fold(factors, 2.0, widths, passes)
+        assert [(f[1].shape[1], f[2].shape[1]) for f in folds] == [(1, 0)] * 4
+        results = chain._chains(blocks, 2.0, [(Algorithm.IIC, width)
+                                              for width in widths],
+                                passes, rates_only=True)
+        for filters, res in zip(folds, results, strict=True):
+            want = capacity.sum_rate_panelized(factors, chain.EqualizerSet(
+                tuple(equalizers.PanelEqualizer(
+                    w, equalizers.EqualizerKind.IIC, True) for w in filters)),
+                2.0)
+            rate = res.report.sum_rate_bits
+            assert abs(rate - want) <= max(1e-9, 1e-12 * want)
+
     def test_pass_count_scales_traffic(self, crandn):
         blocks = random_blocks(crandn, 3, 3, 2)
         res = chain.run_iic_chain(blocks, 1.0, 1, passes=2)

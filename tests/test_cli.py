@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -30,13 +31,13 @@ def tiny_cfg():
     return ScenarioConfig(**TINY_SCENARIO)
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """``python *args`` in a fresh process that imports this lisim."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args],
                           env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, text=True, timeout=timeout,
                           check=False)
 
 
@@ -455,6 +456,145 @@ class TestParallelTrials:
         assert "sum_rate_bits=" in capsys.readouterr().out
         with pytest.raises(AssertionError, match="context created"):
             cli.run_sweep(replace(self.LARGE_RMF, trials=2))
+
+
+def killed_at(trial):
+    """``cli.trial_channel`` that kills its process at one trial index."""
+    real = cli.trial_channel
+
+    def channel(scenario, cfg, seed, trial_index):
+        if trial_index == trial:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(scenario, cfg, seed, trial_index)
+
+    return channel
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail after ``seconds`` rather than hang; not with an OSError, which
+    ``multiprocessing`` reads as an interrupted wait."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def big_values(scenario, cfg, seed, cells, passes, indices):
+    """``cli._trial_values`` stand-in: over 64 KiB, a pipe's buffer, per
+    trial, tagged with the trial and the cell."""
+    return [[(t, cell, bytes([t]) * 70_000) for cell in cells]
+            for t in indices]
+
+
+class TestSweepWorkers:
+    """The forked workers of ``cli._run_trials`` and their pipes.
+
+    The CPU lookup is forced, so the forked path runs on any host.
+    """
+
+    LARGE_RMF = TestParallelTrials.LARGE_RMF
+
+    @pytest.mark.parametrize("channel", [
+        None,
+        failing_channel(NumericalDomainError, 3),  # in the worker
+        failing_channel(NumericalDomainError, 0),  # in this process
+        killed_at(3),
+    ], ids=["returns", "worker-raises", "caller-raises", "worker-killed"])
+    def test_no_process_outlives_the_sweep(self, monkeypatch, channel):
+        import multiprocessing
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        if channel is None:
+            with deadline(60):
+                assert cli.run_sweep(self.LARGE_RMF)[0].trials == 4
+        else:
+            monkeypatch.setattr(cli, "trial_channel", channel)
+            with deadline(60), pytest.raises(
+                    (NumericalDomainError, BrokenProcessPool)):
+                cli.run_sweep(self.LARGE_RMF)
+        # before active_children, which would reap a finished worker
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, trials", [(3, 5), (2, 1)],
+                             ids=["trial-split", "cell-split"])
+    def test_results_larger_than_a_pipe_come_back_in_order(
+            self, monkeypatch, cpus, trials):
+        cells = ["iic", "rmf"]
+        monkeypatch.setattr(cli, "_trial_values", big_values)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        with deadline(30):  # a join before the last read would hang
+            got = cli._run_trials(None, None, 0, cells, 1, trials)
+        assert got == big_values(None, None, 0, cells, 1, range(trials))
+
+    def test_caller_error_beside_a_full_pipe_comes_back_at_once(self):
+        # the worker blocks writing its result, which this process never
+        # reads: its error must come back without a join on that worker
+        script = """if True:
+            import multiprocessing, os, time
+            from lisim import cli
+            parent = os.getpid()
+
+            def values(*args):
+                if os.getpid() == parent:
+                    time.sleep(0.5)
+                    raise RuntimeError("boom here")
+                return [[bytes(1 << 20)]]
+
+            cli._trial_values = values
+            cli._usable_cpus = lambda: 2
+            start = time.monotonic()
+            try:
+                cli._run_trials(None, None, 0, ["iic"], 1, 2)
+            except RuntimeError as exc:
+                print(exc, time.monotonic() - start,
+                      multiprocessing.active_children())
+            """
+        done = run_python("-c", script, timeout=30)
+        message, seconds, children = done.stdout.rsplit(" ", 2)
+        assert message == "boom here"
+        assert float(seconds) < 10.0
+        assert children == "[]\n"
+
+    def test_a_worker_whose_reader_is_gone_ends(self, capfd):
+        # a worker that kept its own copy of the read end would block on
+        # a full pipe for ever once this process died
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
+        recv, send = fork.Pipe(duplex=False)
+        worker = fork.Process(target=cli._send_outcome, args=(
+            recv, send, lambda: bytes(1 << 20), ()))
+        worker.start()
+        recv.close()
+        send.close()
+        worker.join(30)
+        alive = worker.is_alive()
+        worker.kill()
+        worker.join()
+        assert not alive
+        assert "BrokenPipeError" in capfd.readouterr().err
+
+    def test_unpicklable_worker_error_raises_broken_pool(self, monkeypatch,
+                                                         capfd):
+        class LocalError(Exception):
+            """Pickle finds a class by name, and a local one has none."""
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "trial_channel",
+                            failing_channel(LocalError, 3))
+        with pytest.raises(BrokenProcessPool), deadline(60):
+            cli.run_sweep(self.LARGE_RMF)
+        # the worker reports why it sent nothing
+        assert "LocalError" in capfd.readouterr().err
 
 
 class TestEmitCsv:

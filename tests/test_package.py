@@ -38,16 +38,21 @@ def test_star_import_runs():
 
 def test_cli_import_leaves_out_scipy_and_the_process_pool():
     # a lone in-process request never forks, so it must not pay for
-    # importing the pool modules (or scipy, which nothing in src needs)
+    # importing the pool modules (or scipy, which nothing in src needs);
+    # a forking sweep imports multiprocessing, but never the pool
     src = str(Path(lisim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, lisim.cli; print([m for m in ('scipy', "
-             "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    probe = ("import sys, lisim.cli as cli; print([m for m in ('scipy', "
+             "'concurrent.futures', 'multiprocessing') if m in sys.modules]);"
+             " cli._usable_cpus = lambda: 2; cli.run_sweep(cli.SweepSpec("
+             "values=(1,), algorithms=(cli.Algorithm.RMF,), panel_profiles="
+             "(cli.PanelProfile.LARGE,), trials=2)); print(sorted(m for m in "
+             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n['multiprocessing']\n"
 
 
 def _tracer_sites():
