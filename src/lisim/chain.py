@@ -83,8 +83,9 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
     Parameters
     ----------
     blocks : sequence of array_like
-        Per-panel Mp x K channel blocks in chain order, all of one shape;
-        blocks of different shapes raise ConfigError.
+        Per-panel Mp x K channel blocks in chain order, all of one shape,
+        such as a P x Mp x K array; blocks of different shapes raise
+        ConfigError.
     rho : float
         Linear SNR.
     np_outputs : int
@@ -104,11 +105,13 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     more columns than a block has rows (IIC keeps ``min(np, rank)``, RMF
     at most K), so np goes in as requested, and IIC counts ``P np``
     backplane outputs, the ones beyond a filter's width carrying zeros.
-    The blocks' one ceiling follows these checks, so an overflowing
+    The checked blocks become one P x Mp x K complex128 array, which
+    every step below reads: a complex128 ndarray is used as it is, any
+    other input stacked. Their one ceiling follows, so an overflowing
     ``rho`` fails there, before any cell. The IIC cells then fold
     together (``_iic_fold``). RMF cells are rated as they are yielded,
-    from the one stack and column order that ``_rmf_order`` makes at the
-    first of them. Every report is checked against the ceiling.
+    from the one column order read off the array at the first of them.
+    Every report is checked against the ceiling.
 
     The cell contracts, stated here once. A cell's result does not
     depend on the cells it runs with: it is the same bit for bit
@@ -124,19 +127,19 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
 
     ``rates_only`` is for callers that read no more than the rates and
     the traffic, as ``lisim.cli`` does: every result then has no
-    equalizers and an empty trace. The checked blocks are factored once,
+    equalizers and an empty trace. Blocks with Mp > K are factored once,
     by ``numerics.user_side_factor``, and every cell and the ceiling run
-    on the factors, whose ``R^H R`` is the blocks' ``H^H H``. So the
-    rates are the raw blocks' up to rounding, and the traffic is theirs
-    exactly. A full-width cell is not run: IIC with np at least
+    on the stack of factors, whose ``R^H R`` is the blocks' ``H^H H``. So
+    the rates are the raw blocks' up to rounding, and the traffic is
+    theirs exactly. A full-width cell is not run: IIC with np at least
     ``min(Mp, K)``, or RMF with np at least K, keeps every block's whole
     column space, so its rate is the ceiling.
     """
-    blocks = [numerics._as_matrix(b, "channel block") for b in blocks]
-    if not blocks:
+    checked = [numerics._as_matrix(b, "channel block") for b in blocks]
+    if not checked:
         raise ConfigError("at least one channel block is required")
-    p, (mp, k) = len(blocks), blocks[0].shape
-    for b in blocks:
+    p, (mp, k) = len(checked), checked[0].shape
+    for b in checked:
         if b.shape != (mp, k):
             raise ConfigError("all channel blocks must share one shape, got "
                               f"{(mp, k)} and {b.shape}")
@@ -151,9 +154,12 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
         raise ConfigError(f"rho must be positive and finite, got {rho}")
     if not numerics._is_int(passes) or passes < 1:
         raise ConfigError("passes must be an integer of at least 1")
-    if rates_only:
-        blocks = [numerics.user_side_factor(h) for h in blocks]
-    ceiling = capacity.channel_capacity(np.vstack(blocks), rho)
+    if rates_only and mp > k:
+        blocks = np.stack([numerics.user_side_factor(h) for h in checked])
+    elif type(blocks) is not np.ndarray or blocks.dtype != np.complex128:
+        blocks = np.stack(checked)
+    del checked  # so that no generated block outlives the stack
+    ceiling = capacity.channel_capacity(blocks.reshape(-1, k), rho)
     full_width = {(algorithm, np_outputs) for algorithm, np_outputs in cells
                   if rates_only and np_outputs
                   >= (min(mp, k) if algorithm is Algorithm.IIC else k)}
@@ -163,7 +169,7 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     # reversed and popped as the cells are yielded, so that no filter
     # outlives its caller's use of it while the RMF cells run
     folds = _iic_fold(blocks, rho, widths, passes)[::-1] if widths else []
-    rmf = None
+    order = None
     for algorithm, np_outputs in cells:
         iic = algorithm is Algorithm.IIC
         eq_set, trace = None, np.zeros(0)
@@ -173,15 +179,14 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
             filters = folds.pop()
             if rates_only:
                 rate = _rows_rate(blocks, lambda lo, hi: (np.swapaxes(_padded(
-                    filters[lo:hi], len(blocks[0]), np_outputs).conj(), 1, 2)
-                    @ np.stack(blocks[lo:hi])).reshape(-1, k), rho)
+                    filters[lo:hi], blocks.shape[1], np_outputs).conj(), 1, 2)
+                    @ blocks[lo:hi]).reshape(-1, k), rho)
         else:
-            if rmf is None:
-                # stacked after the IIC fold, not beside its temporaries
-                rmf = _rmf_order(blocks)
-            stack, order = rmf
+            if order is None:  # rmf_filter's, which does not depend on np
+                order = np.argsort(-np.sum(np.abs(blocks) ** 2, axis=1),
+                                   axis=-1, kind="stable")
             rate = _rows_rate(blocks, lambda lo, hi: _rmf_rows(
-                stack[lo:hi], order[lo:hi], np_outputs), rho)
+                blocks[lo:hi], order[lo:hi], np_outputs), rho)
         if not rates_only:
             # no cell is full width without rates_only
             if not iic:
@@ -276,24 +281,13 @@ def _padded(filters, rows: int, width: int) -> np.ndarray:
     return w
 
 
-def _rmf_order(blocks):
-    """The blocks as one P x Mp x K stack, and each block's column order.
-
-    The order is ``rmf_filter``'s: descending squared column norm, ties
-    in ascending user index. It does not depend on np, so every RMF cell
-    of a call reads its columns off this one order.
-    """
-    stack = np.stack(blocks)
-    norms = np.sum(np.abs(stack) ** 2, axis=1)
-    return stack, np.argsort(-norms, axis=-1, kind="stable")
-
-
 def _rmf_rows(stack, order, np_outputs: int) -> np.ndarray:
     """The rows ``T = U^H H`` of a stack of panels, as one K-column matrix.
 
-    ``U`` holds the left singular vectors of each panel's RMF filter (its
-    first np columns in ``order``, as ``rmf_filter`` keeps them); rows past
-    its ``numerical_rank``, which ``sum_rate_panelized`` drops, are zero."""
+    ``U`` holds the left singular vectors of each panel's RMF filter: its
+    first np columns in ``order``, which is ``rmf_filter``'s (descending
+    squared norm, ties in ascending user index). Rows past its
+    ``numerical_rank``, which ``sum_rate_panelized`` drops, are zero."""
     u, s, _ = numerics.svd(np.take_along_axis(
         stack, order[:, None, :np_outputs], axis=2))
     t = np.swapaxes(u.conj(), 1, 2) @ stack
@@ -304,10 +298,11 @@ def _rmf_rows(stack, order, np_outputs: int) -> np.ndarray:
 def _rows_rate(blocks, rows, rho: float) -> float:
     """``log2 det(I + rho T^H T)`` of the rows ``T`` that a cell keeps.
 
-    ``rows(lo, hi)`` gives panels lo to hi - 1; each slice of at most
+    ``blocks`` is the P x Mp x K array, and ``rows(lo, hi)`` gives the
+    rows of panels lo to hi - 1; each slice of at most
     ``numerics._QR_ROWS`` block rows (at least one panel) updates the R
     factor of all the rows: ``sum_rate_panelized``'s rate up to rounding."""
-    p, (mp, k) = len(blocks), blocks[0].shape
+    p, mp, k = blocks.shape
     step = max(1, numerics._QR_ROWS // mp)
     r = np.zeros((0, k), dtype=complex)
     for lo in range(0, p, step):

@@ -94,11 +94,12 @@ class Scenario:
 class ChannelRealization:
     """Per-panel Mp x K channel blocks in chain order.
 
-    One scale is applied to every block so that the stacked matrix
-    satisfies ``sum_i ||H_i||_F^2 = M * K``.
+    ``blocks`` is one C-contiguous complex128 P x Mp x K array, block i
+    at ``blocks[i]``. One scale is applied to every block so that the
+    stacked matrix satisfies ``sum_i ||H_i||_F^2 = M * K``.
     """
 
-    blocks: tuple
+    blocks: np.ndarray
 
 
 def build_scenario(cfg: ScenarioConfig, mp: int) -> Scenario:
@@ -224,5 +225,5 @@ def realize_channel(scenario: Scenario, users: np.ndarray,
     power = sum(np.sum(np.abs(blocks) ** 2, axis=(1, 2)).tolist())
     if power <= 0.0:
         raise DegenerateChannelError("raw channel is identically zero")
-    stacked *= math.sqrt(stacked.size / power)
-    return ChannelRealization(blocks=tuple(blocks))
+    stacked *= math.sqrt(stacked.size / power)  # blocks is a view of it
+    return ChannelRealization(blocks=blocks)

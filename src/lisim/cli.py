@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cache, partial
@@ -195,14 +196,20 @@ def _trial_values(scenario, cfg, seed, cells, passes, indices):
     return values
 
 
+class _WorkerTraceback(Exception):
+    """The formatted traceback of a sweep worker's exception, raised as
+    that exception's cause, as ``concurrent.futures`` does."""
+
+
 def _send_outcome(recv, send, run, task):
-    """Send ``(True, run(*task))``, or ``(False, exception)`` if it raises;
-    an exception that cannot be pickled ends the worker with none sent."""
+    """Send ``(True, run(*task))``, or ``(False, (exception, traceback))``
+    if it raises; an exception that cannot be pickled ends the worker
+    with none sent."""
     recv.close()  # else a full pipe blocks for ever once the caller dies
     try:
         outcome = (True, run(*task))
     except Exception as exc:
-        outcome = (False, exc)
+        outcome = (False, (exc, traceback.format_exc()))
     send.send(outcome)
 
 
@@ -212,8 +219,9 @@ def _run_trials(scenario, cfg, seed, cells, passes, trials):
     Task (i, j) takes trials ``i, i + workers, ...`` and, of each, cells
     ``j, j + slices, ...``, so that each slice gets IIC and RMF cells.
     This process runs task 0, and a process forked for each other task
-    sends its values, or its exception, back on its own pipe. A worker
-    that dies first raises ``BrokenProcessPool``; none outlives the call.
+    sends its values, or its exception, back on its own pipe; a worker's
+    exception is raised here from its traceback. A worker that dies
+    first raises ``BrokenProcessPool``; none outlives the call.
     """
     run = partial(_trial_values, scenario, cfg, seed)
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
@@ -242,7 +250,8 @@ def _run_trials(scenario, cfg, seed, cells, passes, trials):
                 from concurrent.futures.process import BrokenProcessPool
                 raise BrokenProcessPool("a sweep worker died") from None
             if not ok:
-                raise part
+                exc, text = part
+                raise exc from _WorkerTraceback(text)
             parts.append(part)
     finally:
         for proc, _ in procs:
@@ -285,32 +294,20 @@ def _resolve_values(spec: SweepSpec, profile: PanelProfile,
 def run_sweep(spec: SweepSpec, cfg: ScenarioConfig | None = None):
     """Monte Carlo sweep over profiles, algorithms, and axis values.
 
-    Each trial reuses one channel realization for every algorithm and
-    axis value: the ``trial_channel`` that ``run_trial`` uses for the
-    same (seed, trial index). Trials use independent generator streams
-    and a trial's cells are independent runs on one channel, so a sweep
-    runs its trials, or with fewer trials than CPUs slices of each
-    trial's cells, on every usable CPU (see ``_run_trials``); the values
-    come back in (trial, cell) order and are aggregated as a one-process
-    run would, so the rows (and the CSV written from them) are the same
-    byte for byte on one CPU or many.
-    Rows are ordered by profile, then algorithm, then axis value.
-
-    Each trial's cells (or those of one slice) are one rates-only
-    ``chain._chains`` call: the blocks are factored once, the cells share
-    the factors and one ceiling, and the IIC cells fold the chain
-    together, in one stack. By the cell contracts stated there, a cell's
-    rate in one trial is ``run_trial``'s bit for bit, and the raw blocks'
-    up to rounding.
-
     ``cfg`` supplies the geometry and radio parameters; its ``snr_rho``
     is replaced by ``spec.rho``, and its ``panel_side_m`` by each
-    profile's. The trials draw their users from ``spec.seed``. Every
-    profile's scenario and axis values are built and checked before the
-    first trial runs, so a geometry or axis value that one profile
-    rejects fails at once.
+    profile's. Every profile's scenario and axis values are built and
+    checked before the first trial runs, so a value that one profile
+    rejects fails at once. Each trial is one ``trial_channel`` draw from
+    ``spec.seed``, which every cell of the trial reads in a rates-only
+    ``chain._chains`` call, where the cell contracts are stated.
+    ``_run_trials`` spreads the trials, or slices of a trial's cells,
+    over the usable CPUs; the rows are the same byte for byte on one CPU
+    or many.
 
-    Returns a list of SweepRow.
+    Returns a list of SweepRow, ordered by profile, then algorithm, then
+    axis value: the mean and sample deviation of each cell's rates over
+    the trials, and its ceiling's mean.
     """
     if cfg is None:
         cfg = ScenarioConfig()

@@ -340,6 +340,26 @@ def test_a_stack_of_blocks_runs_as_its_list(crandn, run):
         run(np.zeros((0, 4, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("mp, k", [(4, 2), (2, 4)], ids=["tall", "wide"])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_a_read_only_stack_rates_as_its_list(crandn, passes, mp, k):
+    # the rates-only runner reads a complex128 stack as it is, factored
+    # or not, and writes nothing into it
+    listed = random_blocks(crandn, 3, mp, k)
+    stack = np.stack(listed)
+    stack.setflags(write=False)
+    cells = [(algorithm, n) for algorithm in Algorithm
+             for n in range(1, mp + 1)]
+    stacked, alone = (list(chain._chains(blocks, 1.0, cells, passes,
+                                         rates_only=True))
+                      for blocks in (stack, listed))
+    for a, b in zip(stacked, alone, strict=True):
+        assert a.report.sum_rate_bits == b.report.sum_rate_bits
+        assert (a.report.channel_capacity_bits
+                == b.report.channel_capacity_bits)
+        assert a.traffic == b.traffic
+
+
 @pytest.mark.parametrize("run", [
     lambda blocks: chain.run_rmf(blocks, 1, 1.0),
     lambda blocks: chain.run_iic_chain(blocks, 1.0, 1),

@@ -272,6 +272,16 @@ class TestRealizeChannel:
         assert len(chan.blocks) == 250
         assert np.vstack(chan.blocks).shape == (4000, 20)
 
+    def test_blocks_are_one_contiguous_array(self, cfg):
+        # lisim.chain reads this array as it is, with no stack of its own
+        sc = channel.build_scenario(cfg, 16)
+        users = channel.sample_users(sc, cfg, np.random.default_rng(5))
+        blocks = channel.realize_channel(sc, users, cfg.wavelength_m).blocks
+        assert type(blocks) is np.ndarray
+        assert blocks.dtype == np.complex128
+        assert blocks.shape == (250, 16, 20)
+        assert blocks.flags.c_contiguous
+
     def test_scalar_normalization(self, cfg):
         # single antenna facing a single broadside user whose raw gain is 2:
         # 1 / (2 sqrt(pi) z) = 2, with the wavelength equal to the distance

@@ -583,6 +583,23 @@ class TestSweepWorkers:
         assert not alive
         assert "BrokenPipeError" in capfd.readouterr().err
 
+    def test_worker_error_carries_its_traceback(self, monkeypatch):
+        real = cli.trial_channel
+
+        def keyed_channel(scenario, cfg, seed, trial_index):
+            if trial_index == 3:  # two CPUs deal trial 3 to the worker
+                raise KeyError(trial_index)
+            return real(scenario, cfg, seed, trial_index)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "trial_channel", keyed_channel)
+        with pytest.raises(KeyError) as exc, deadline(60):
+            cli.run_sweep(self.LARGE_RMF)
+        cause = exc.value.__cause__
+        assert type(cause) is cli._WorkerTraceback
+        assert "in keyed_channel\n" in str(cause)
+        assert "KeyError: 3" in str(cause)
+
     def test_unpicklable_worker_error_raises_broken_pool(self, monkeypatch,
                                                          capfd):
         class LocalError(Exception):

@@ -360,10 +360,13 @@ def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, log_rho, data):
         blocks[data.draw(st.integers(0, len(blocks) - 1))] = np.zeros(
             blocks[0].shape, dtype=complex)
     factors = [numerics.user_side_factor(h) for h in blocks]
-    stack, order = chain._rmf_order(factors)
+    stack = np.stack(factors)
+    # rmf_filter's column order, read off the stack as chain._chains does
+    order = np.argsort(-np.sum(np.abs(stack) ** 2, axis=1), axis=-1,
+                       kind="stable")
     for width in data.draw(st.lists(st.integers(1, mp), min_size=1,
                                     max_size=4)):
-        rate = chain._rows_rate(factors, lambda lo, hi: chain._rmf_rows(
+        rate = chain._rows_rate(stack, lambda lo, hi: chain._rmf_rows(
             stack[lo:hi], order[lo:hi], width), rho)
         ref = EqualizerSet(per_panel=tuple(rmf_filter(h, width)
                                            for h in factors))
