@@ -51,11 +51,8 @@ class TrafficReport:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Filters, capacity report, traffic accounting, and pass count.
-
-    ``equalizers`` is None, and the report's trace empty, for a
-    rates-only cell; ``_chains`` states what each result carries.
-    """
+    """Filters, capacity report, traffic accounting and pass count, as
+    ``_chains`` states them (no filters or trace for a rates-only cell)."""
 
     equalizers: EqualizerSet | None
     report: capacity.CapacityReport
@@ -67,31 +64,12 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
                   passes: int = 1) -> ChainResult:
     """Decentralized interference-cancellation run over a panel chain.
 
-    One fold of the local step over ``passes`` sweeps of the panels in
-    list order, carrying the accumulator ``z`` (from the identity) and the
-    filters, the only per-panel state. In the first pass each panel steps
-    against ``z`` and forwards ``z`` grown by its filter's projected Gram:
-    the plain daisy chain of the envisioned hardware pipeline (the default
-    single pass). In later passes panel i steps against ``z`` without its
-    own previous Gram, and so re-optimizes against every other panel's
-    current contribution, which can only increase the objective.
-
-    This is the one-cell call of ``_chains``, the runner that
-    ``lisim.cli`` gives all of a trial's cells at once; the result's
-    contract (filters, trace and rate) is stated there.
-
-    Parameters
-    ----------
-    blocks : sequence of array_like
-        Per-panel Mp x K channel blocks in chain order, all of one shape,
-        such as a P x Mp x K array; blocks of different shapes raise
-        ConfigError.
-    rho : float
-        Linear SNR.
-    np_outputs : int
-        Outputs per panel; at most the panel antenna count.
-    passes : int
-        Number of sweeps over the chain, at least 1.
+    ``passes`` sweeps of the local step over the Mp x K blocks in list
+    order, carrying the accumulator ``z`` from the identity: in the first
+    pass, the plain daisy chain, each panel steps against ``z`` and
+    forwards it grown by its filter's projected Gram; in later passes a
+    panel steps against ``z`` without its own previous Gram. The one-cell
+    call of ``_chains``, which checks the arguments and states the contract.
     """
     (result,) = _chains(blocks, rho, [(Algorithm.IIC, np_outputs)], passes)
     return result
@@ -109,9 +87,10 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     every step below reads: a complex128 ndarray is used as it is, any
     other input stacked. Their one ceiling follows, so an overflowing
     ``rho`` fails there, before any cell. The IIC cells then fold
-    together (``_iic_fold``). RMF cells are rated as they are yielded,
-    from the one column order read off the array at the first of them.
-    Every report is checked against the ceiling.
+    together (``_iic_fold``). RMF cells are rated as they are yielded, in
+    the one column order read off the array at the first of them, each
+    from a QR of its own columns (``_rmf_rows``). Every report is checked
+    against the ceiling.
 
     The cell contracts, stated here once. A cell's result does not
     depend on the cells it runs with: it is the same bit for bit
@@ -282,17 +261,20 @@ def _padded(filters, rows: int, width: int) -> np.ndarray:
 
 
 def _rmf_rows(stack, order, np_outputs: int) -> np.ndarray:
-    """The rows ``T = U^H H`` of a stack of panels, as one K-column matrix.
+    """The rows ``T = Q^H H`` of a stack of panels, as one K-column matrix.
 
-    ``U`` holds the left singular vectors of each panel's RMF filter: its
-    first np columns in ``order``, which is ``rmf_filter``'s (descending
-    squared norm, ties in ascending user index). Rows past its
-    ``numerical_rank``, which ``sum_rate_panelized`` drops, are zero."""
-    u, s, _ = numerics.svd(np.take_along_axis(
-        stack, order[:, None, :np_outputs], axis=2))
-    t = np.swapaxes(u.conj(), 1, 2) @ stack
-    t[np.arange(t.shape[1]) >= numerics.numerical_rank(s)[:, None]] = 0.0
-    return t.reshape(-1, stack.shape[2])
+    ``Q`` spans each panel's RMF filter, its first np columns in ``order``
+    (``rmf_filter``'s): it is the reduced QR's where ``numerics.full_rank``
+    clears the R, else the left singular vectors, zero past their
+    ``numerical_rank`` as ``sum_rate_panelized`` drops them."""
+    selected = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
+    q, r = np.linalg.qr(selected)
+    rest = ~numerics.full_rank(r)
+    if rest.any():
+        u, s, _ = numerics.svd(selected[rest])
+        q[rest] = np.where(np.arange(u.shape[2]) < numerics.numerical_rank(
+            s)[:, None, None], u, 0.0)
+    return (np.swapaxes(q.conj(), 1, 2) @ stack).reshape(-1, stack.shape[2])
 
 
 def _rows_rate(blocks, rows, rho: float) -> float:
@@ -311,13 +293,9 @@ def _rows_rate(blocks, rows, rho: float) -> float:
 
 
 def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
-    """Reduced-matched-filter run; every panel works from local CSI only.
-
-    No panel-to-panel messages are needed, so chain traffic is zero. The
-    filter construction itself does not depend on the SNR; ``rho`` only
-    enters the returned capacity report. The one-cell call of
-    ``_chains``, where the result's contract is stated. The blocks must
-    all have one Mp x K shape; ConfigError otherwise.
+    """Reduced-matched-filter run: each panel keeps its strongest user
+    columns from local CSI, no chain traffic, and ``rho`` enters only the
+    report. The one-cell call of ``_chains``, which states the contract.
     """
     (result,) = _chains(blocks, rho, [(Algorithm.RMF, np_outputs)], 1)
     return result
@@ -325,14 +303,10 @@ def run_rmf(blocks, np_outputs: int, rho: float) -> ChainResult:
 
 def run_centralized(blocks, rho: float, np_outputs: int,
                     algorithm: Algorithm, passes: int = 1) -> ChainResult:
-    """Same algorithms executed at a central unit holding all CSI.
+    """The one-cell run of ``_chains`` at a central unit holding all CSI.
 
-    Reuses the decentralized runner verbatim, so filters and capacities
-    are bit-identical to the decentralized run; only the traffic
-    accounting differs: the full M x K channel is uploaded once and no
-    panel-to-panel messages flow. ``passes`` is checked for RMF too,
-    which makes a single pass. The blocks must all have one Mp x K
-    shape; ConfigError otherwise.
+    Its filters and rates are the decentralized run's bit for bit; the
+    full M x K channel goes up once and no panel messages flow.
     """
     blocks = list(blocks)  # read twice: by _chains and for the traffic
     (result,) = _chains(blocks, rho, [(Algorithm(algorithm), np_outputs)],

@@ -154,13 +154,9 @@ def run_trial(scenario: Scenario, cfg: ScenarioConfig, algorithm: Algorithm,
               np_outputs: int, seed: int, trial_index: int, passes: int = 1):
     """One channel realization pushed through one algorithm.
 
-    Runs the decentralized algorithm as a one-cell, rates-only
-    ``chain._chains`` call on the blocks of ``trial_channel``, as
-    ``run_sweep`` runs each cell, and returns its ChainResult: rates,
-    traffic and passes, with no filters and no trace, by the rates-only
-    contract stated there. ``passes`` is checked for RMF too, which
-    makes one pass; ``passes_executed`` reports the passes the cell
-    makes. Fully deterministic given (config, seed, trial_index).
+    The one-cell, rates-only ``chain._chains`` call on the blocks of
+    ``trial_channel``, as ``run_sweep`` runs each cell; that contract
+    holds. Fully deterministic given (config, seed, trial_index).
     """
     chan = trial_channel(scenario, cfg, seed, trial_index)
     (result,) = _chains(chan.blocks, cfg.snr_rho,
@@ -180,9 +176,8 @@ def _usable_cpus() -> int:
 def _trial_values(scenario, cfg, seed, cells, passes, indices):
     """(rate, ceiling, chain scalars) of every cell, for each trial index.
 
-    The cells of a trial are one rates-only ``chain._chains`` call, at
-    ``cfg.snr_rho`` as in ``run_trial``; their contracts are stated
-    there. Each call synthesizes its own
+    The cells of a trial are one rates-only ``chain._chains`` call at
+    ``cfg.snr_rho``, as in ``run_trial``. Each call synthesizes its own
     channels, so any subset of a trial's cells can run anywhere.
     """
     values = []

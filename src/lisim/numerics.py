@@ -3,16 +3,18 @@
 Thin wrappers around LAPACK (via numpy): Hermitian eigendecomposition,
 SVD, Cholesky factors, whitening against a triangular factor, orthonormal
 range bases, the projected Gram ``rho (Q^H H)^H (Q^H H)`` that every
-captured covariance is made of, R factors of rows (``grown_factor``, the
-one QR kernel, and the K x K ``user_side_factor`` of a tall block), and
+captured covariance is made of, R factors of rows (``grown_factor``, every
+QR of rows, and the K x K ``user_side_factor`` of a tall block), and
 base-2 log-determinants read off eigenvalues (``log2_one_plus``) or off
 the singular values of rows (``logdet2_eye_plus_gram``, every rate).
-They return plain arrays, and ``numerical_rank`` holds the one rank rule.
-The SVD, Cholesky, R-factor, whitening and rank kernels
-also take a stack of matrices and give each the bits it would get alone. All
-functions are pure and safe to call from concurrent workers. The kernels
-state their preconditions and check none: each input is checked once,
-by the public function it enters. Channel blocks and filters go through
+They return plain arrays. ``numerical_rank`` holds the one rank rule;
+``full_rank`` certifies, without an SVD, that it keeps every column of an
+RMF filter, from the R of ``chain._rmf_rows``' QR of columns. The SVD,
+Cholesky, R-factor, whitening and rank kernels also take a stack of
+matrices and give each the bits it would get alone. All functions are
+pure and safe to call from concurrent workers. The kernels state their
+preconditions and check none: each input is checked once, by the public
+function it enters. Channel blocks and filters go through
 ``_as_matrix`` (2-D, finite) in the ``chain``, ``equalizers`` and
 ``capacity`` functions that take them, every function that takes ``rho``
 rejects a negative one or one that fails ``_is_finite_real``, every count
@@ -21,6 +23,7 @@ its accumulator for hermiticity. A Gram, accumulator or gain that
 overflows (rho near 1e308) is reported by ``check_finite`` alone.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,8 +34,11 @@ from .errors import NumericalDomainError
 TOL_HERMITIAN = 1e-10
 
 #: Relative cutoff (vs. the largest singular value) for rank decisions;
-#: read only by ``numerical_rank``.
+#: read by ``numerical_rank``, and by ``full_rank`` for its margin.
 RANK_TOL = 1e-10
+
+#: ``np.tri``'s mask below the diagonal, made once per shape (grown_factor)
+_below_diagonal = functools.cache(functools.partial(np.tri, k=-1, dtype=bool))
 
 #: The one row budget of a slice: ``user_side_factor`` grows its factor by
 #: slices of this many rows (on 4000 x 20 blocks, twice as fast as one QR),
@@ -195,9 +201,14 @@ def grown_factor(r: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     No Gram is formed, so a rank-deficient term keeps its unit
     eigenvalues; ``r`` may have no rows. Every QR of rows in lisim is
-    this call, and a stack gives each matrix the bits it gets alone.
+    this call (``chain._rmf_rows`` makes the one QR of filter columns),
+    and a stack gives each matrix the bits it gets alone: ``mode="r"``'s,
+    with a cached mask in place of the one ``np.triu`` builds per call.
     """
-    return np.linalg.qr(np.concatenate([r, t], axis=-2), mode="r")
+    a = np.linalg.qr(np.concatenate([r, t], axis=-2), mode="raw")[0]
+    rows = min(a.shape[-2:])
+    return np.where(_below_diagonal(rows, a.shape[-2]), 0.0,
+                    np.swapaxes(a, -1, -2)[..., :rows, :])
 
 
 def user_side_factor(h: np.ndarray) -> np.ndarray:
@@ -227,6 +238,26 @@ def numerical_rank(s):
     """
     cutoff = RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
     return (s > cutoff).sum(axis=-1)
+
+
+def full_rank(r: np.ndarray) -> np.ndarray:
+    """True for each n x n triangle of a stack that certainly has rank n
+    by ``numerical_rank``, which then needs no SVD.
+
+    Sufficient only: on ``R`` scaled to a largest entry of 1, the bound
+    ``kappa_2(R) <= ||R||_F ||R^-1||_F <= n ||R||_F max|R^-1|`` is below
+    ``1e-3 / RANK_TOL``, a margin no rounding of the QR or SVD closes.
+    A triangle whose ``max|R| / min|R_jj|``, a lower bound on ``kappa_2``,
+    is not below it fails uninverted: a zero or singular ``R`` neither
+    raises nor warns.
+    """
+    limit, n = 1e-3 / RANK_TOL, r.shape[-1]
+    scale = np.abs(r).max(axis=(-2, -1))
+    ok = np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1) > scale / limit
+    r = np.where(ok[..., None, None], r / np.where(ok, scale, 1.0)[
+        ..., None, None], np.eye(n))
+    inverse = np.abs(np.linalg.inv(r)).max(axis=(-2, -1))
+    return ok & (inverse < limit / (n * np.linalg.norm(r, axis=(-2, -1))))
 
 
 def orthonormal_range(a, n=None) -> np.ndarray:

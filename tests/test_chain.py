@@ -262,6 +262,35 @@ class TestRunRmf:
         assert res.report.sum_rate_bits == pytest.approx(
             capacity.sum_rate_panelized(blocks, ref, 2.0), abs=1e-9)
 
+    # the certificate must not warn on the zero or repeated panel
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [1.0, 1e6])
+    def test_rows_take_the_svd_where_the_qr_is_not_cleared(self, crandn,
+                                                            rho):
+        # a generic panel, a zero panel, and one whose two strongest
+        # columns are one column twice
+        repeated = crandn(6, 4)
+        repeated[:, :2] = 3.0 * crandn(6, 1)
+        stack = np.stack([crandn(6, 4), np.zeros((6, 4), complex), repeated])
+        order = np.argsort(-np.sum(np.abs(stack) ** 2, axis=1), axis=-1,
+                           kind="stable")
+        for width in range(1, 7):
+            rows = chain._rmf_rows(stack, order, width).reshape(3, -1, 4)
+            selected = np.take_along_axis(stack, order[:, None, :width], 2)
+            cleared = numerics.full_rank(np.linalg.qr(selected)[1])
+            np.testing.assert_array_equal(cleared, [True, False, width == 1])
+            for i in np.flatnonzero(~cleared):
+                u, s, _ = numerics.svd(selected[i])
+                want = u.conj().T @ stack[i]
+                want[numerics.numerical_rank(s):] = 0.0
+                np.testing.assert_array_equal(rows[i], want)
+            rate = chain._rows_rate(stack, lambda lo, hi: chain._rmf_rows(
+                stack[lo:hi], order[lo:hi], width), rho)
+            ref = chain.EqualizerSet(tuple(equalizers.rmf_filter(h, width)
+                                           for h in stack))
+            want = capacity.sum_rate_panelized(stack, ref, rho)
+            assert abs(rate - want) <= max(1e-9, 1e-11 * want)
+
     def test_identical_blocks_identical_selections(self, crandn):
         h = crandn(4, 5)
         res = chain.run_rmf([h, h], 2, rho=1.0)

@@ -274,6 +274,44 @@ class TestGrownFactor:
             np.testing.assert_array_equal(
                 stacked[c], numerics.grown_factor(r[c], t[c]))
 
+    @pytest.mark.parametrize("r_shape, t_shape", [
+        ((0, 4), (6, 4)), ((0, 5), (2, 5)), ((3, 5), (1, 5)),
+        ((2, 4, 4), (2, 7, 4)), ((3, 0, 4), (3, 6, 4)),
+        ((3, 2, 6), (3, 1, 6))])
+    def test_is_the_triangle_of_a_plain_qr(self, crandn, r_shape, t_shape):
+        # 0-row r, wide results (fewer rows than columns) and stacks
+        r, t = crandn(*r_shape), crandn(*t_shape)
+        grown = numerics.grown_factor(r, t)
+        want = np.linalg.qr(np.concatenate([r, t], axis=-2), mode="r")
+        np.testing.assert_array_equal(grown, want)
+        assert grown.tobytes() == want.tobytes()
+
+
+class TestFullRank:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_clears_only_full_numerical_rank(self, crandn, n):
+        # 16-row panels with graded columns: condition numbers 1e4 to 1e14
+        conds = np.repeat(10.0 ** np.arange(4, 15), 4)
+        sel = np.stack([crandn(16, n) * np.logspace(0, -np.log10(c), n)
+                        for c in conds])
+        _, r = np.linalg.qr(sel)
+        cleared = numerics.full_rank(r)
+        s = np.linalg.svd(sel, compute_uv=False)
+        kappa = s[:, 0] / s[:, -1]
+        assert np.all(numerics.numerical_rank(s)[cleared] == n)
+        # near the cutoff, the SVD decides
+        assert not cleared[kappa >= 1e-3 / numerics.RANK_TOL].any()
+        # and the bound n^1.5 kappa below the margin certainly clears
+        assert cleared[kappa * n ** 1.5 < 1e-3 / numerics.RANK_TOL].all()
+
+    def test_zero_and_singular_triangles_fail_quietly(self, crandn):
+        r = np.triu(crandn(4, 3, 3))
+        r[0] = 0.0
+        r[1, 2, 2] = 0.0
+        r[2, 1, 1] = 1e-300
+        np.testing.assert_array_equal(numerics.full_rank(r),
+                                      [False, False, False, True])
+
 
 class TestUserSideFactor:
     @pytest.mark.parametrize("shape", [(5, 4), (12, 3), (400, 20),

@@ -348,8 +348,9 @@ def test_a_cell_does_not_depend_on_its_batch(inputs, data):
 # The cell itself, not run_rmf: its ceiling check could stop a draw on
 # a rank-one rounding defect.
 @PROPERTY_SETTINGS
-@given(st.booleans().flatmap(lambda tall: chain_inputs(tall=tall)),
-       st.floats(-8.0, 17.0), st.data())
+@given(st.tuples(st.booleans(), st.booleans()).flatmap(
+    lambda flags: chain_inputs(tall=flags[0], colocated=flags[1])),
+    st.floats(-8.0, 17.0), st.data())
 def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, log_rho, data):
     # as lisim.cli runs them: on the user-side factors, with np up to the
     # raw Mp; a zero block gives its panel a rank-0 filter
