@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import capacity, numerics
+from . import capacity, equalizers, numerics
 # iic_local_step is the reference that the IIC fold reproduces; it stays
 # importable here, where benchmarks/tracing.py looks it up
 from .equalizers import (EqualizerKind, EqualizerSet, PanelEqualizer,
@@ -76,7 +76,7 @@ def run_iic_chain(blocks, rho: float, np_outputs: int,
 
 
 def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
-    """One ChainResult per ``(algorithm, np)`` cell of the blocks, in order.
+    """The list of ChainResults, one per ``(algorithm, np)`` cell, in order.
 
     Checks the blocks, which must all have one Mp x K shape, ``rho``,
     ``passes`` and every np, which lies between 1 and Mp. No filter keeps
@@ -87,10 +87,10 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     every step below reads: a complex128 ndarray is used as it is, any
     other input stacked. Their one ceiling follows, so an overflowing
     ``rho`` fails there, before any cell. The IIC cells then fold
-    together (``_iic_fold``). RMF cells are rated as they are yielded, in
-    the one column order read off the array at the first of them, each
-    from a QR of its own columns (``_rmf_rows``). Every report is checked
-    against the ceiling.
+    together (``_iic_fold``). RMF cells read one column order off the
+    array, ``equalizers._rmf_order``, and each is rated from a QR of its
+    own columns (``_rmf_rows``). Every report is checked against the
+    ceiling, and the first that fails raises: no result is returned.
 
     The cell contracts, stated here once. A cell's result does not
     depend on the cells it runs with: it is the same bit for bit
@@ -142,28 +142,23 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
     full_width = {(algorithm, np_outputs) for algorithm, np_outputs in cells
                   if rates_only and np_outputs
                   >= (min(mp, k) if algorithm is Algorithm.IIC else k)}
-    widths = [np_outputs for algorithm, np_outputs in cells
-              if algorithm is Algorithm.IIC
-              and (algorithm, np_outputs) not in full_width]
-    # reversed and popped as the cells are yielded, so that no filter
-    # outlives its caller's use of it while the RMF cells run
-    folds = _iic_fold(blocks, rho, widths, passes)[::-1] if widths else []
-    order = None
+    run = [cell for cell in cells if cell not in full_width]
+    widths = [n for algorithm, n in run if algorithm is Algorithm.IIC]
+    folds = _iic_fold(blocks, rho, widths, passes) if widths else []
+    order = equalizers._rmf_order(blocks) if len(run) > len(widths) else None
+    results = []
     for algorithm, np_outputs in cells:
         iic = algorithm is Algorithm.IIC
         eq_set, trace = None, np.zeros(0)
         if (algorithm, np_outputs) in full_width:
             rate = ceiling
         elif iic:
-            filters = folds.pop()
+            filters = folds.pop(0)  # so that no filter outlives its cell
             if rates_only:
                 rate = _rows_rate(blocks, lambda lo, hi: (np.swapaxes(_padded(
                     filters[lo:hi], blocks.shape[1], np_outputs).conj(), 1, 2)
                     @ blocks[lo:hi]).reshape(-1, k), rho)
         else:
-            if order is None:  # rmf_filter's, which does not depend on np
-                order = np.argsort(-np.sum(np.abs(blocks) ** 2, axis=1),
-                                   axis=-1, kind="stable")
             rate = _rows_rate(blocks, lambda lo, hi: _rmf_rows(
                 blocks[lo:hi], order[lo:hi], np_outputs), rho)
         if not rates_only:
@@ -185,8 +180,10 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
             backplane_scalars_per_use=p * (np_outputs if iic
                                            else min(np_outputs, k)),
             cpu_scalars_per_use=k, centralized_csi_scalars=0)
-        yield ChainResult(equalizers=eq_set, report=report, traffic=traffic,
-                          passes_executed=passes if iic else 1)
+        results.append(ChainResult(
+            equalizers=eq_set, report=report, traffic=traffic,
+            passes_executed=passes if iic else 1))
+    return results
 
 
 def _iic_fold(blocks, rho: float, widths, passes: int):
@@ -263,10 +260,11 @@ def _padded(filters, rows: int, width: int) -> np.ndarray:
 def _rmf_rows(stack, order, np_outputs: int) -> np.ndarray:
     """The rows ``T = Q^H H`` of a stack of panels, as one K-column matrix.
 
-    ``Q`` spans each panel's RMF filter, its first np columns in ``order``
-    (``rmf_filter``'s): it is the reduced QR's where ``numerics.full_rank``
-    clears the R, else the left singular vectors, zero past their
-    ``numerical_rank`` as ``sum_rate_panelized`` drops them."""
+    ``Q`` spans each panel's RMF filter, its first np columns in ``order``:
+    the reduced QR's where ``numerics.full_rank`` clears the R (wherever
+    ``np kappa_2 < 1e-3 / RANK_TOL``), else the left singular vectors,
+    zero past their ``numerical_rank`` as ``sum_rate_panelized`` drops
+    them."""
     selected = np.take_along_axis(stack, order[:, None, :np_outputs], axis=2)
     q, r = np.linalg.qr(selected)
     rest = ~numerics.full_rank(r)

@@ -89,11 +89,6 @@ class EqualizerSet:
     def __getitem__(self, i) -> PanelEqualizer:
         return self.per_panel[i]
 
-    @property
-    def n_total(self) -> int:
-        """Total number of filter outputs across panels."""
-        return sum(pe.n_cols for pe in self.per_panel)
-
 
 @dataclass(frozen=True)
 class ChainMessage:
@@ -114,19 +109,23 @@ class ChainMessage:
 def rmf_filter(h_panel, np_outputs: int) -> PanelEqualizer:
     """Reduced matched filter: the strongest channel columns of a panel.
 
-    Column strength is the squared Euclidean norm. The filter keeps
-    ``min(np_outputs, K)`` columns ordered by descending strength; ties
-    keep ascending user index. More outputs than users would only
-    duplicate columns without adding rank, so the width is capped at K.
+    The filter keeps the first ``min(np_outputs, K)`` columns of
+    ``_rmf_order``. More outputs than users would only duplicate columns
+    without adding rank, so the width is capped at K.
     """
     if not numerics._is_int(np_outputs) or np_outputs < 1:
         raise ValueError("np_outputs must be an integer of at least 1")
     h = numerics._as_matrix(h_panel, "channel block")
-    norms = np.sum(np.abs(h) ** 2, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    selected = order[: min(np_outputs, h.shape[1])]
+    selected = _rmf_order(h)[: min(np_outputs, h.shape[1])]
     return PanelEqualizer(w=h[:, selected], kind=EqualizerKind.RMF,
                           semi_unitary=False)
+
+
+def _rmf_order(h: np.ndarray) -> np.ndarray:
+    """RMF's column order of a block, or of each block of a stack: by
+    descending squared Euclidean norm, ties by ascending user index."""
+    return np.argsort(-np.sum(np.abs(h) ** 2, axis=-2), axis=-1,
+                      kind="stable")
 
 
 def single_panel_filter(h, n_outputs: int) -> PanelEqualizer:

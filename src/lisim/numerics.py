@@ -9,7 +9,8 @@ base-2 log-determinants read off eigenvalues (``log2_one_plus``) or off
 the singular values of rows (``logdet2_eye_plus_gram``, every rate).
 They return plain arrays. ``numerical_rank`` holds the one rank rule;
 ``full_rank`` certifies, without an SVD, that it keeps every column of an
-RMF filter, from the R of ``chain._rmf_rows``' QR of columns. The SVD,
+RMF filter, from the R of ``chain._rmf_rows``' QR of columns, and does so
+for every filter of condition number below 1e7 / columns. The SVD,
 Cholesky, R-factor, whitening and rank kernels also take a stack of
 matrices and give each the bits it would get alone. All functions are
 pure and safe to call from concurrent workers. The kernels state their
@@ -245,19 +246,19 @@ def full_rank(r: np.ndarray) -> np.ndarray:
     by ``numerical_rank``, which then needs no SVD.
 
     Sufficient only: on ``R`` scaled to a largest entry of 1, the bound
-    ``kappa_2(R) <= ||R||_F ||R^-1||_F <= n ||R||_F max|R^-1|`` is below
+    ``kappa_2(R) <= ||R||_F ||R^-1||_F <= n kappa_2(R)`` is below
     ``1e-3 / RANK_TOL``, a margin no rounding of the QR or SVD closes.
     A triangle whose ``max|R| / min|R_jj|``, a lower bound on ``kappa_2``,
     is not below it fails uninverted: a zero or singular ``R`` neither
     raises nor warns.
     """
-    limit, n = 1e-3 / RANK_TOL, r.shape[-1]
+    limit = 1e-3 / RANK_TOL
     scale = np.abs(r).max(axis=(-2, -1))
     ok = np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1) > scale / limit
     r = np.where(ok[..., None, None], r / np.where(ok, scale, 1.0)[
-        ..., None, None], np.eye(n))
-    inverse = np.abs(np.linalg.inv(r)).max(axis=(-2, -1))
-    return ok & (inverse < limit / (n * np.linalg.norm(r, axis=(-2, -1))))
+        ..., None, None], np.eye(r.shape[-1]))
+    return ok & (np.linalg.norm(r, axis=(-2, -1)) * np.linalg.norm(
+        np.linalg.inv(r), axis=(-2, -1)) < limit)
 
 
 def orthonormal_range(a, n=None) -> np.ndarray:

@@ -272,8 +272,7 @@ class TestRunRmf:
         repeated = crandn(6, 4)
         repeated[:, :2] = 3.0 * crandn(6, 1)
         stack = np.stack([crandn(6, 4), np.zeros((6, 4), complex), repeated])
-        order = np.argsort(-np.sum(np.abs(stack) ** 2, axis=1), axis=-1,
-                           kind="stable")
+        order = equalizers._rmf_order(stack)
         for width in range(1, 7):
             rows = chain._rmf_rows(stack, order, width).reshape(3, -1, 4)
             selected = np.take_along_axis(stack, order[:, None, :width], 2)
@@ -307,6 +306,18 @@ class TestRunRmf:
             acc += 2.0 * (g.conj().T @ g)
         want = numerics.logdet2_hpd(np.eye(3) + 0.5 * (acc + acc.conj().T))
         assert res.report.sum_rate_bits == pytest.approx(want, abs=1e-9)
+
+    def test_the_stacked_order_is_rmf_filters_on_tied_columns(self, crandn):
+        # co-located users: columns 0 and 3, and 1 and 4, are one column
+        # twice, so their norms tie exactly
+        stack = np.stack([crandn(4, 3)[:, [0, 1, 2, 0, 1]] for _ in range(3)])
+        order = equalizers._rmf_order(stack)
+        for h, got in zip(stack, order, strict=True):
+            norms = np.sum(np.abs(h) ** 2, axis=0)
+            assert list(got) == sorted(range(5), key=lambda j: (-norms[j], j))
+            for width in range(1, 6):
+                np.testing.assert_array_equal(
+                    h[:, got[:width]], equalizers.rmf_filter(h, width).w)
 
 
 class TestRunCentralized:
@@ -426,3 +437,32 @@ def test_rates_only_checks_blocks_as_run_iic_chain(blocks, error):
             run()
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def test_rates_only_svds_are_the_fold_steps_on_the_default_grids(
+        monkeypatch):
+    # one stacked SVD per panel of the one-pass fold: every RMF panel of
+    # these trials is cleared by numerics.full_rank and takes no SVD
+    calls = []
+
+    def svd(a):
+        calls.append(a.shape)
+        return real(a)
+
+    real = numerics.svd
+    monkeypatch.setattr(numerics, "svd", svd)
+    for profile in PanelProfile:
+        cfg = replace(ScenarioConfig(), panel_side_m=profile.panel_side_m)
+        scenario = build_scenario(cfg, profile.antennas_per_panel)
+        cells = [(algorithm, n) for algorithm in Algorithm
+                 for n in cli._PROFILE_GEOMETRY[profile][2]]
+        for t in range(4):
+            blocks = cli.trial_channel(scenario, cfg, 42, t).blocks
+            calls.clear()
+            chain._chains(blocks, cfg.snr_rho, cells, 1, rates_only=True)
+            assert len(calls) == scenario.p_count, (profile, t)
+
+
+def test_an_empty_chain_raises_when_called():
+    with pytest.raises(ConfigError, match="at least one channel block"):
+        chain._chains([], 1.0, [(Algorithm.IIC, 1)], 1)

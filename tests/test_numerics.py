@@ -301,8 +301,20 @@ class TestFullRank:
         assert np.all(numerics.numerical_rank(s)[cleared] == n)
         # near the cutoff, the SVD decides
         assert not cleared[kappa >= 1e-3 / numerics.RANK_TOL].any()
-        # and the bound n^1.5 kappa below the margin certainly clears
-        assert cleared[kappa * n ** 1.5 < 1e-3 / numerics.RANK_TOL].all()
+        # and the bound n kappa below the margin certainly clears
+        assert cleared[kappa * n < 1e-3 / numerics.RANK_TOL].all()
+
+    def test_clears_graded_square_panels_far_from_the_cutoff(self, crandn):
+        # an RMF filter of 16 columns on a 16-antenna panel, graded as the
+        # columns of users at spread distances; with kappa near 5e5, n
+        # kappa is below the margin, so none of them needs the SVD
+        sel = np.stack([crandn(16, 16) * np.logspace(0, -5, 16)
+                        for _ in range(200)])
+        s = np.linalg.svd(sel, compute_uv=False)
+        kappa = s[:, 0] / s[:, -1]
+        near = (kappa > 3e5) & (kappa < 6e5)
+        assert near.sum() >= 50
+        assert numerics.full_rank(np.linalg.qr(sel)[1])[near].all()
 
     def test_zero_and_singular_triangles_fail_quietly(self, crandn):
         r = np.triu(crandn(4, 3, 3))

@@ -98,6 +98,22 @@ def test_every_numerics_function_has_a_caller():
     assert sorted(public - called - traced) == []
 
 
+def test_argsort_is_called_only_in_the_rmf_order():
+    # the RMF column rule is stated once, so a restated argsort of
+    # column norms cannot drift from rmf_filter's order
+    src = Path(lisim.__file__).resolve().parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            for node in ast.walk(statement):
+                f = getattr(node, "func", None)
+                if (f.attr if isinstance(f, ast.Attribute)
+                        else getattr(f, "id", None)) == "argsort":
+                    callers.append((path.stem,
+                                    getattr(statement, "name", None)))
+    assert callers == [("equalizers", "_rmf_order")]
+
+
 def _rho_calls():
     h = np.eye(3, 2, dtype=complex)
     eq = EqualizerSet((PanelEqualizer(h, EqualizerKind.IIC, True),))

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lisim import capacity, chain, numerics
+from lisim import capacity, chain, equalizers, numerics
 from lisim.capacity import CEILING_SLACK_BITS, MONOTONE_SLACK_BITS
 from lisim.chain import Algorithm
 from lisim.channel import ScenarioConfig
@@ -363,8 +363,7 @@ def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, log_rho, data):
     factors = [numerics.user_side_factor(h) for h in blocks]
     stack = np.stack(factors)
     # rmf_filter's column order, read off the stack as chain._chains does
-    order = np.argsort(-np.sum(np.abs(stack) ** 2, axis=1), axis=-1,
-                       kind="stable")
+    order = equalizers._rmf_order(stack)
     for width in data.draw(st.lists(st.integers(1, mp), min_size=1,
                                     max_size=4)):
         rate = chain._rows_rate(stack, lambda lo, hi: chain._rmf_rows(
@@ -377,16 +376,11 @@ def test_a_batched_rmf_cell_is_the_one_cell_reference(inputs, log_rho, data):
 
 
 def _outcomes(blocks, rho, cells, passes):
-    """The results of one rates-only ``chain._chains`` call, then its
-    error, if any."""
-    out = []
+    """The results of one rates-only ``chain._chains`` call, or its error."""
     try:
-        for result in chain._chains(blocks, rho, cells, passes,
-                                    rates_only=True):
-            out.append(result)
+        return chain._chains(blocks, rho, cells, passes, rates_only=True)
     except NumericalDomainError as exc:
-        out.append(str(exc))
-    return out
+        return [str(exc)]
 
 
 @PROPERTY_SETTINGS
@@ -400,12 +394,14 @@ def test_a_cell_runs_alike_alone_and_with_others(inputs, data):
     cells = data.draw(st.lists(
         st.tuples(st.sampled_from(list(Algorithm)), st.integers(1, mp)),
         min_size=1, max_size=5))
-    # a run stops at its first failing report (the rank-one ceiling
-    # overshoot pinned below), so the call of all cells stops there too
+    # a call raises at its first failing report (the rank-one ceiling
+    # overshoot pinned below) and returns no result, so the call of all
+    # cells raises the first error of the cells alone
     want = []
     for cell in cells:
         want += _outcomes(blocks, rho, [cell], passes)
         if isinstance(want[-1], str):
+            want = want[-1:]
             break
     got = _outcomes(blocks, rho, cells, passes)
     assert len(got) == len(want)
@@ -465,9 +461,9 @@ def test_full_width_cells_are_answered_from_the_ceiling(inputs, log_rho,
             assert got.traffic == want.traffic
             if cell[0] is Algorithm.RMF:
                 # rates-only results carry no filters; run_rmf's do
-                assert (got.traffic.backplane_scalars_per_use
-                        == chain.run_rmf(blocks, cell[1],
-                                         rho).equalizers.n_total)
+                assert got.traffic.backplane_scalars_per_use == sum(
+                    pe.n_cols for pe in chain.run_rmf(blocks, cell[1],
+                                                      rho).equalizers)
             continue
         algorithm, np_outputs = cell
         report = got.report
@@ -480,8 +476,8 @@ def test_full_width_cells_are_answered_from_the_ceiling(inputs, log_rho,
         assert abs(fold.report.sum_rate_bits - report.sum_rate_bits) <= tol
         assert got.traffic == fold.traffic
         assert got.traffic.backplane_scalars_per_use == (
-            fold.equalizers.n_total if algorithm is Algorithm.RMF
-            else len(blocks) * np_outputs)
+            sum(pe.n_cols for pe in fold.equalizers)
+            if algorithm is Algorithm.RMF else len(blocks) * np_outputs)
         assert got.passes_executed == fold.passes_executed
     assert next(others, None) is None
 
