@@ -153,7 +153,7 @@ def _chains(blocks, rho: float, cells, passes: int, rates_only: bool = False):
         if (algorithm, np_outputs) in full_width:
             rate = ceiling
         elif iic:
-            filters = folds.pop(0)  # so that no filter outlives its cell
+            filters = folds.pop(0)
             if rates_only:
                 rate = _rows_rate(blocks, lambda lo, hi: (np.swapaxes(_padded(
                     filters[lo:hi], blocks.shape[1], np_outputs).conj(), 1, 2)

@@ -249,16 +249,17 @@ def full_rank(r: np.ndarray) -> np.ndarray:
     ``kappa_2(R) <= ||R||_F ||R^-1||_F <= n kappa_2(R)`` is below
     ``1e-3 / RANK_TOL``, a margin no rounding of the QR or SVD closes.
     A triangle whose ``max|R| / min|R_jj|``, a lower bound on ``kappa_2``,
-    is not below it fails uninverted: a zero or singular ``R`` neither
-    raises nor warns.
+    is not below it fails uninverted, one whose inverse overflows fails
+    too, and neither a zero, singular nor overflowing ``R`` warns.
     """
     limit = 1e-3 / RANK_TOL
     scale = np.abs(r).max(axis=(-2, -1))
     ok = np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1) > scale / limit
     r = np.where(ok[..., None, None], r / np.where(ok, scale, 1.0)[
         ..., None, None], np.eye(r.shape[-1]))
-    return ok & (np.linalg.norm(r, axis=(-2, -1)) * np.linalg.norm(
-        np.linalg.inv(r), axis=(-2, -1)) < limit)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan fail
+        return ok & (np.linalg.norm(r, axis=(-2, -1)) * np.linalg.norm(
+            np.linalg.inv(r), axis=(-2, -1)) < limit)
 
 
 def orthonormal_range(a, n=None) -> np.ndarray:

@@ -290,8 +290,11 @@ class TestGrownFactor:
 class TestFullRank:
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_clears_only_full_numerical_rank(self, crandn, n):
-        # 16-row panels with graded columns: condition numbers 1e4 to 1e14
-        conds = np.repeat(10.0 ** np.arange(4, 15), 4)
+        # 16-row panels with graded columns: condition numbers 1e4 to 1e14,
+        # and gradings that put 16-column panels, as an RMF filter of 16
+        # users at spread distances, at kappa near 5e5
+        conds = np.concatenate([np.repeat(10.0 ** np.arange(4, 15), 4),
+                                np.geomspace(3e4, 1e5, 24)])
         sel = np.stack([crandn(16, n) * np.logspace(0, -np.log10(c), n)
                         for c in conds])
         _, r = np.linalg.qr(sel)
@@ -303,18 +306,8 @@ class TestFullRank:
         assert not cleared[kappa >= 1e-3 / numerics.RANK_TOL].any()
         # and the bound n kappa below the margin certainly clears
         assert cleared[kappa * n < 1e-3 / numerics.RANK_TOL].all()
-
-    def test_clears_graded_square_panels_far_from_the_cutoff(self, crandn):
-        # an RMF filter of 16 columns on a 16-antenna panel, graded as the
-        # columns of users at spread distances; with kappa near 5e5, n
-        # kappa is below the margin, so none of them needs the SVD
-        sel = np.stack([crandn(16, 16) * np.logspace(0, -5, 16)
-                        for _ in range(200)])
-        s = np.linalg.svd(sel, compute_uv=False)
-        kappa = s[:, 0] / s[:, -1]
-        near = (kappa > 3e5) & (kappa < 6e5)
-        assert near.sum() >= 50
-        assert numerics.full_rank(np.linalg.qr(sel)[1])[near].all()
+        if n == 16:
+            assert ((kappa > 3e5) & (kappa < 6e5)).sum() >= 5
 
     def test_zero_and_singular_triangles_fail_quietly(self, crandn):
         r = np.triu(crandn(4, 3, 3))
@@ -323,6 +316,11 @@ class TestFullRank:
         r[2, 1, 1] = 1e-300
         np.testing.assert_array_equal(numerics.full_rank(r),
                                       [False, False, False, True])
+        # past the diagonal screen, an inverse with entries near 1e174,
+        # whose squares overflow
+        r = np.eye(30) * 1e-6 - np.triu(np.ones((30, 30)), 1)
+        np.testing.assert_array_equal(
+            numerics.full_rank(np.stack([r, np.eye(30)])), [False, True])
 
 
 class TestUserSideFactor:
